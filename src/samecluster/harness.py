@@ -140,7 +140,7 @@ def run_one_trial(plan_payload: dict, algorithm: str, x: int, trial: int,
     cfg = RecoveryConfig(
         eps=eps, heavy_threshold=plan_payload["heavy_threshold"],
         reuse_samples=plan_payload["reuse_samples"],
-        draw_cap=plan_payload["draw_cap"], seed=seed, variant=algorithm)
+        draw_cap=plan_payload["draw_cap"], seed=seed)
     if algorithm == "noisy":
         session = OracleSession(X.labels, error_prob=noise_p, rng_seed=seed,
                                 budget=budget)
@@ -273,8 +273,7 @@ def run_classify_study(plan: ExperimentPlan):
         X = _dataset_for_trial(payload, seeds[0])
         cfg = RecoveryConfig(eps=plan.eps, heavy_threshold=plan.heavy_threshold,
                              reuse_samples=plan.reuse_samples,
-                             draw_cap=plan.draw_cap, seed=seeds[0],
-                             variant=algorithm)
+                             draw_cap=plan.draw_cap, seed=seeds[0])
         session = OracleSession(X.labels, rng_seed=seeds[0], budget=budget)
         res = _RUNNERS[algorithm](X, session, cfg, target=target)
         hist, correct = classify_study(X, res, seed=seeds[0])

@@ -12,12 +12,13 @@ Two families share one run state:
   running sample-mean centers.
 
 All draws are processed in batches whose ledger accounting, discovery
-registration and stopping points match a draw-at-a-time execution exactly.
+registration and stopping points match a draw-at-a-time execution exactly;
+tests/test_recovery.py::TestPhase2Reference checks the Improved Phase 2
+against its draw-at-a-time reference.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -103,6 +104,11 @@ def dyadic_band(p: float) -> int:
     return (1 - e) if m > 0.5 else (2 - e)
 
 
+def _l_bands(q: int) -> int:
+    """Number of dyadic bands L = max(1, ceil(3 log2 q)) for q clusters."""
+    return max(1, math.ceil(3 * math.log2(q))) if q > 1 else 1
+
+
 def split_bands(p_hat: dict, q: int) -> BandPartition:
     """Partition clusters by empirical conditional frequency into dyadic bands.
 
@@ -112,7 +118,7 @@ def split_bands(p_hat: dict, q: int) -> BandPartition:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    l_bands = max(1, math.ceil(3 * math.log2(q))) if q > 1 else 1
+    l_bands = _l_bands(q)
     bands: list[list[int]] = [[] for _ in range(l_bands)]
     tail: list[int] = []
     cutoff = 1.0 / q ** 3
@@ -144,7 +150,6 @@ class RecoveryConfig:
     reuse_samples: bool = True
     draw_cap: int = 10 ** 8
     seed: int = 0
-    variant: str = "basic"
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
@@ -492,127 +497,6 @@ def _basic_round(run: RunState, log: dict):
 # ---------------------------------------------------------------------------
 # The Improved algorithm (theory-literal, bands and K-doubling)
 
-_L_BANDS_CACHE: dict[int, int] = {}
-
-
-def _l_bands(q: int) -> int:
-    v = _L_BANDS_CACHE.get(q)
-    if v is None:
-        v = max(1, math.ceil(3 * math.log2(q))) if q > 1 else 1
-        _L_BANDS_CACHE[q] = v
-    return v
-
-
-class _BandTracker:
-    """Integer band bookkeeping over unrecovered sample counts.
-
-    Tracks per cluster the dyadic band index l = bitlen(total // s) (an
-    exact integer form of the 2^-l < s/total <= 2^-l+1 rule) together with
-    per-band member counts and count sums, so Algorithm 5's Phase-2 stop
-    rule can be evaluated after every single sample. Bands beyond L(q)
-    form the tail.
-    """
-
-    def __init__(self, counts: dict[int, int]):
-        self.s: dict[int, int] = {c: int(v) for c, v in counts.items() if v > 0}
-        self.total = sum(self.s.values())
-        self.ell: dict[int, int] = {}
-        self.band_sum: dict[int, int] = {}
-        self.band_cnt: dict[int, int] = {}
-        # (threshold total at which the band index grows, cid, band at push)
-        self._heap: list[tuple[int, int, int]] = []
-        for cid, s in self.s.items():
-            ell = (self.total // s).bit_length()
-            self.ell[cid] = ell
-            self.band_sum[ell] = self.band_sum.get(ell, 0) + s
-            self.band_cnt[ell] = self.band_cnt.get(ell, 0) + 1
-            heapq.heappush(self._heap, (s << ell, cid, ell))
-
-    def _reband(self, cid: int):
-        s = self.s[cid]
-        new_ell = (self.total // s).bit_length()
-        old = self.ell[cid]
-        if new_ell != old:
-            self.band_sum[old] -= s
-            self.band_cnt[old] -= 1
-            if self.band_cnt[old] == 0:
-                del self.band_sum[old], self.band_cnt[old]
-            self.band_sum[new_ell] = self.band_sum.get(new_ell, 0) + s
-            self.band_cnt[new_ell] = self.band_cnt.get(new_ell, 0) + 1
-            self.ell[cid] = new_ell
-        heapq.heappush(self._heap, (s << new_ell, cid, new_ell))
-
-    def add_sample(self, cid: int):
-        self.total += 1
-        old_s = self.s.get(cid, 0)
-        self.s[cid] = old_s + 1
-        if old_s == 0:
-            ell = self.total.bit_length()
-            self.ell[cid] = ell
-            self.band_sum[ell] = self.band_sum.get(ell, 0) + 1
-            self.band_cnt[ell] = self.band_cnt.get(ell, 0) + 1
-            heapq.heappush(self._heap, (1 << ell, cid, ell))
-        else:
-            ell = self.ell[cid]
-            new_ell = (self.total // (old_s + 1)).bit_length()
-            if new_ell == ell:
-                self.band_sum[ell] += 1
-            else:
-                self.band_sum[ell] -= old_s
-                self.band_cnt[ell] -= 1
-                if self.band_cnt[ell] == 0:
-                    del self.band_sum[ell], self.band_cnt[ell]
-                self.band_sum[new_ell] = self.band_sum.get(new_ell, 0) + old_s + 1
-                self.band_cnt[new_ell] = self.band_cnt.get(new_ell, 0) + 1
-                self.ell[cid] = new_ell
-                heapq.heappush(self._heap, ((old_s + 1) << new_ell, cid, new_ell))
-        # Flush clusters whose band index grew as the total advanced.
-        heap = self._heap
-        while heap and heap[0][0] <= self.total:
-            _, c2, ell2 = heapq.heappop(heap)
-            if self.ell.get(c2) != ell2:
-                continue  # stale entry; a newer one exists
-            self._reband(c2)
-
-    def q(self) -> int:
-        return len(self.s)
-
-    def w_count(self) -> int:
-        """Number of clusters in heavy bands (tail counted as one band)."""
-        q = len(self.s)
-        if q == 0:
-            return 0
-        lb = _l_bands(q)
-        total = self.total
-        w = 0
-        tail_sum = 0
-        tail_cnt = 0
-        for ell, ssum in self.band_sum.items():
-            if ell > lb:
-                tail_sum += ssum
-                tail_cnt += self.band_cnt[ell]
-            elif 3 * lb * ssum >= total:
-                w += self.band_cnt[ell]
-        if tail_cnt and 3 * lb * tail_sum >= total:
-            w += tail_cnt
-        return w
-
-    def heavy_members(self) -> list[int]:
-        q = len(self.s)
-        if q == 0:
-            return []
-        lb = _l_bands(q)
-        total = self.total
-        heavy_ells = set()
-        tail_sum = sum(v for e, v in self.band_sum.items() if e > lb)
-        tail_heavy = tail_sum > 0 and 3 * lb * tail_sum >= total
-        for ell, ssum in self.band_sum.items():
-            if ell <= lb and 3 * lb * ssum >= total:
-                heavy_ells.add(ell)
-        return sorted(c for c, e in self.ell.items()
-                      if e in heavy_ells or (tail_heavy and e > lb))
-
-
 def run_improved(X: PointSet, session: OracleSession, config: RecoveryConfig,
                  target: int | None = None) -> RecoveryResult:
     """Band-splitting algorithm with K-doubling; recovers whole heavy bands."""
@@ -688,103 +572,156 @@ def _improved_round(run: RunState, k_guess: int, log: dict):
 
 
 def _improved_phase2(run: RunState) -> tuple[list[int], int]:
-    """Sample with a per-draw band re-split until the stop rule holds.
+    """Sample until the band stop rule holds; return (W, q) at that draw.
 
-    Returns (W, q) frozen at the first sample where
-    |S| >= 1600 |W| log|Q| ln(10(k+|Q|)) / eps.
+    The rule is checked as if after every single draw: stop at the first
+    sample where |S| >= 1600 |W| log|Q| ln(10(k+|Q|)) / eps, W being the
+    clusters in heavy bands of the unrecovered sample counts.
+
+    Draws come in chunks of _PHASE_CHUNK, each peek-classified and split
+    into segments at the first draw of every undiscovered label, the split
+    classify_batch makes; q can then change inside a segment only when a
+    discovered but unsampled cluster is drawn. Per segment (`_phase2_stop`):
+
+    * Interval fast path: counts only grow, and a band index bitlen(T // s)
+      rises with T and falls with s, so the counts after the segment's
+      first and last draws bound every band and heavy flag in between
+      (`_constant_w`). When they pin q and |W|, the stop is the first
+      position with |S| >= f(q) |W|.
+    * Exact fallback: otherwise the (cluster x position) cumulative counts
+      are built and `_heavy_rows` evaluates the rule at every position.
+
+    Only the prefix through the stop draw is charged, registered and
+    ingested. commit_classify raises BudgetExhausted on the draw where a
+    draw-at-a-time run would, since that run checks the budget before the
+    stop rule. TestPhase2Reference in tests/test_recovery.py holds the
+    draw-at-a-time reference this must match.
+    """
+    session = run.session
+    while True:
+        idx = _sampling.d2_sample_batch(run.sampler, run.rng, _PHASE_CHUNK)
+        cl, costs, new_firsts = _oracle.peek_classify(session, idx, run.reps)
+        stop = _phase2_stop(run, cl, new_firsts)
+        upto = len(idx) if stop is None else stop + 1
+        try:
+            _oracle.commit_classify(session, run.reps, costs, new_firsts, upto)
+        except BudgetExhausted as e:
+            done = int(e.classified)
+            run.ingest(idx[:done], cl[:done])
+            raise
+        run.ingest(idx[:upto], cl[:upto])
+        if stop is not None:
+            break
+    Q = np.asarray(run.Q(), dtype=np.int64)
+    counts = run.counts[Q - 1]
+    _, heavy = _heavy_rows(counts[:, None], np.array([counts.sum()]))
+    return Q[heavy[:, 0]].tolist(), len(Q)
+
+
+def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
+    """First position of a peeked chunk at which the Phase-2 rule stops.
+
+    Segments start at position 0 and at each first draw of an undiscovered
+    label; see `_improved_phase2` for the fast path and the fallback.
     """
     eps, k = run.config.eps, run.k
     scale = 1600.0 / eps
-    session = run.session
-    truth = session.truth
-    budget = session.budget
-    tracker = _BandTracker({cid: int(run.counts[cid - 1]) for cid in run.Q()})
-    label_to_cid = {int(truth[run.reps.rep_point(c)]): c
-                    for c in range(1, run.L + 1)}
-    excluded = run.recovered | run.starved
-    # Stop rule is |S| >= factor(q) * |W| with factor cached per q.
-    factor_cache: dict[int, float] = {}
 
-    def factor(qn: int) -> float:
-        f = factor_cache.get(qn)
-        if f is None:
-            f = scale * log2p(qn) * math.log(10.0 * (k + qn))
-            factor_cache[qn] = f
-        return f
+    def factor(q: int) -> float:
+        return scale * log2p(q) * math.log(10.0 * (k + q))
 
-    drawn_x: list[int] = []
-    drawn_cid: list[int] = []
+    m = run.L + len(new_firsts)
+    live = np.ones(m + 1, dtype=bool)
+    live[0] = False
+    live[list(run.recovered | run.starved)] = False
+    counts = np.zeros(m + 1, dtype=np.int64)      # live counts before a segment
+    counts[1:run.L + 1] = run.counts[:run.L]
+    counts[~live] = 0
+    inc = live[cl]
+    totals = int(counts.sum()) + np.cumsum(inc)
+    s_before = run.s_total
+    cuts = [p for p, _ in new_firsts if p > 0]
+    for a, b in zip([0] + cuts, cuts + [len(cl)]):
+        seg = cl[a:b]
+        hi = counts + np.bincount(seg[inc[a:b]], minlength=m + 1)
+        lo = counts.copy()
+        if inc[a]:
+            lo[cl[a]] += 1
+        qw = _constant_w(lo, hi, int(totals[a]), int(totals[b - 1]))
+        if qw is not None:
+            q, w = qw
+            if w:
+                j = max(a, math.ceil(factor(q) * w) - s_before - 1)
+                if j < b:
+                    return j
+        else:
+            ids = np.flatnonzero(hi)
+            C = counts[ids, None] + np.cumsum(seg == ids[:, None], axis=1)
+            q, heavy = _heavy_rows(C, totals[a:b])
+            w = heavy.sum(axis=0)
+            f = np.array([factor(v) if v else 0.0 for v in range(int(q.max()) + 1)])
+            hit = np.flatnonzero((w > 0) & (s_before + np.arange(a + 1, b + 1) >= f[q] * w))
+            if len(hit):
+                return a + int(hit[0])
+        counts = hi
+    return None
 
-    def flush():
-        if drawn_x:
-            run.ingest(np.asarray(drawn_x, dtype=np.int64),
-                       np.asarray(drawn_cid, dtype=np.int64))
 
-    buf_idx: list[int] = []
-    buf_lab: list[int] = []
-    pos = 0
-    ledger = session.ledger
-    s_now = run.s_total
-    add_sample = tracker.add_sample
-    band_sum = tracker.band_sum
-    band_cnt = tracker.band_cnt
-    try:
-        while True:
-            if pos >= len(buf_idx):
-                arr = _sampling.d2_sample_batch(run.sampler, run.rng, _PHASE_CHUNK)
-                buf_idx = arr.tolist()
-                buf_lab = truth[arr].tolist()
-                pos = 0
-            x = buf_idx[pos]
-            lab = buf_lab[pos]
-            pos += 1
-            cid = label_to_cid.get(lab)
-            if cid is None:
-                cost = run.L
-                if budget is not None and ledger + cost > budget:
-                    ledger = budget
-                    raise BudgetExhausted(f"query budget {budget} exhausted")
-                ledger += cost
-                cid = run.reps.add_cluster(x)
-                label_to_cid[lab] = cid
-            else:
-                if budget is not None and ledger + cid > budget:
-                    ledger = budget
-                    raise BudgetExhausted(f"query budget {budget} exhausted")
-                ledger += cid
-            drawn_x.append(x)
-            drawn_cid.append(cid)
-            s_now += 1
-            if cid not in excluded:
-                add_sample(cid)
-            # Inline heavy-band count: w such that the stop rule can be
-            # checked after every single sample.
-            qn = len(tracker.s)
-            if qn:
-                fq = factor_cache.get(qn)
-                if fq is None:
-                    fq = factor(qn)
-                if s_now >= fq:      # w >= 1 always; cheap pre-filter
-                    lb = _l_bands(qn)
-                    total = tracker.total
-                    lim = 3 * lb
-                    w = 0
-                    tail_sum = 0
-                    tail_cnt = 0
-                    for ell, ssum in band_sum.items():
-                        if ell > lb:
-                            tail_sum += ssum
-                            tail_cnt += band_cnt[ell]
-                        elif lim * ssum >= total:
-                            w += band_cnt[ell]
-                    if tail_cnt and lim * tail_sum >= total:
-                        w += tail_cnt
-                    if w and s_now >= fq * w:
-                        break
-    finally:
-        session.ledger = ledger
-        flush()
-    return tracker.heavy_members(), tracker.q()
+def _bitlen(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of non-negative integers below 2**53."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1]
+
+
+def _heavy_rows(C: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact band rule over count columns.
+
+    C[c, j] is cluster c's sample count and T[j] the total at position j.
+    A present cluster sits in band bitlen(T // s), the integer form of
+    2^-l < s/T <= 2^-(l-1); bands past L(q) form the tail, and a band is
+    heavy when 3 L(q) times its count sum is at least T. Returns (q, heavy)
+    with q[j] the number of present clusters and heavy[c, j] whether c is
+    in W.
+    """
+    present = C > 0
+    q = present.sum(axis=0)
+    lb = np.array([_l_bands(v) for v in range(len(C) + 1)])[q]
+    ell = _bitlen(T // np.maximum(C, 1))
+    g = np.where(present, np.minimum(ell, lb + 1), 0)
+    cols = np.arange(C.shape[1])
+    gsum = np.bincount((g * len(cols) + cols).ravel(), weights=C.ravel(),
+                       minlength=(int(lb.max()) + 2) * len(cols))
+    heavy = 3 * lb * gsum.reshape(-1, len(cols)) >= T
+    heavy[0] = False
+    return q, heavy[g, cols]
+
+
+def _constant_w(lo: np.ndarray, hi: np.ndarray, t_lo: int, t_hi: int):
+    """(q, |W|) shared by every position between two count states, or None.
+
+    lo and hi are the counts after the first and the last position of a
+    range, t_lo and t_hi their totals. Counts only grow in between, and
+    T // s rises with T and falls with s, so a band index lies between
+    bitlen(t_lo // hi) and bitlen(t_hi // lo) and a band sum between its
+    lo and hi sums. When these bounds pin q, every band and every heavy
+    flag, |W| is constant over the range; otherwise the answer is None.
+    """
+    present = lo > 0
+    q = int(present.sum())
+    if q != int(np.count_nonzero(hi)):
+        return None
+    if q == 0:
+        return 0, 0
+    s_lo, s_hi = lo[present], hi[present]
+    ell = _bitlen(t_lo // s_hi)
+    if not np.array_equal(ell, _bitlen(t_hi // s_lo)):
+        return None
+    lb = _l_bands(q)
+    g = np.minimum(ell, lb + 1)
+    heavy = 3 * lb * np.bincount(g, weights=s_lo) >= t_hi
+    light = 3 * lb * np.bincount(g, weights=s_hi) < t_lo
+    if not (heavy | light).all():
+        return None
+    return q, int(heavy[g].sum())
 
 
 # ---------------------------------------------------------------------------

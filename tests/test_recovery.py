@@ -1,14 +1,19 @@
+import copy
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from samecluster import recovery
+from samecluster import sampling
 from samecluster.geometry import PointSet
-from samecluster.oracle import OracleSession
+from samecluster.oracle import BudgetExhausted, OracleSession
 from samecluster.recovery import (
     RecoveryConfig,
     RunState,
-    _BandTracker,
+    _l_bands,
+    log2p,
     basic_t2,
     basic_t3,
     dyadic_band,
@@ -104,6 +109,102 @@ class TestSplitBands:
                 assert flag == (sum(p_hat[c] for c in members) >= thresh)
 
 
+# ---------------------------------------------------------------------------
+# Draw-at-a-time reference for the chunked Improved Phase 2
+
+class _BandTracker:
+    """Integer band bookkeeping over unrecovered sample counts.
+
+    Tracks per cluster the dyadic band index l = bitlen(total // s)
+    together with per-band member counts and count sums, updated after
+    every single sample. Bands beyond L(q) form the tail.
+    """
+
+    def __init__(self, counts: dict[int, int]):
+        self.s: dict[int, int] = {c: int(v) for c, v in counts.items() if v > 0}
+        self.total = sum(self.s.values())
+        self.ell: dict[int, int] = {}
+        self.band_sum: dict[int, int] = {}
+        self.band_cnt: dict[int, int] = {}
+        # (threshold total at which the band index grows, cid, band at push)
+        self._heap: list[tuple[int, int, int]] = []
+        for cid, s in self.s.items():
+            ell = (self.total // s).bit_length()
+            self.ell[cid] = ell
+            self.band_sum[ell] = self.band_sum.get(ell, 0) + s
+            self.band_cnt[ell] = self.band_cnt.get(ell, 0) + 1
+            heapq.heappush(self._heap, (s << ell, cid, ell))
+
+    def _reband(self, cid: int):
+        s = self.s[cid]
+        new_ell = (self.total // s).bit_length()
+        old = self.ell[cid]
+        if new_ell != old:
+            self.band_sum[old] -= s
+            self.band_cnt[old] -= 1
+            if self.band_cnt[old] == 0:
+                del self.band_sum[old], self.band_cnt[old]
+            self.band_sum[new_ell] = self.band_sum.get(new_ell, 0) + s
+            self.band_cnt[new_ell] = self.band_cnt.get(new_ell, 0) + 1
+            self.ell[cid] = new_ell
+        heapq.heappush(self._heap, (s << new_ell, cid, new_ell))
+
+    def add_sample(self, cid: int):
+        self.total += 1
+        old_s = self.s.get(cid, 0)
+        self.s[cid] = old_s + 1
+        if old_s == 0:
+            ell = self.total.bit_length()
+            self.ell[cid] = ell
+            self.band_sum[ell] = self.band_sum.get(ell, 0) + 1
+            self.band_cnt[ell] = self.band_cnt.get(ell, 0) + 1
+            heapq.heappush(self._heap, (1 << ell, cid, ell))
+        else:
+            ell = self.ell[cid]
+            new_ell = (self.total // (old_s + 1)).bit_length()
+            if new_ell == ell:
+                self.band_sum[ell] += 1
+            else:
+                self.band_sum[ell] -= old_s
+                self.band_cnt[ell] -= 1
+                if self.band_cnt[ell] == 0:
+                    del self.band_sum[ell], self.band_cnt[ell]
+                self.band_sum[new_ell] = self.band_sum.get(new_ell, 0) + old_s + 1
+                self.band_cnt[new_ell] = self.band_cnt.get(new_ell, 0) + 1
+                self.ell[cid] = new_ell
+                heapq.heappush(self._heap, ((old_s + 1) << new_ell, cid, new_ell))
+        # Flush clusters whose band index grew as the total advanced.
+        heap = self._heap
+        while heap and heap[0][0] <= self.total:
+            _, c2, ell2 = heapq.heappop(heap)
+            if self.ell.get(c2) != ell2:
+                continue  # stale entry; a newer one exists
+            self._reband(c2)
+
+    def w_count(self) -> int:
+        """Number of clusters in heavy bands (tail counted as one band)."""
+        lb = _l_bands(len(self.s))
+        w = tail_sum = tail_cnt = 0
+        for ell, ssum in self.band_sum.items():
+            if ell > lb:
+                tail_sum += ssum
+                tail_cnt += self.band_cnt[ell]
+            elif 3 * lb * ssum >= self.total:
+                w += self.band_cnt[ell]
+        if tail_cnt and 3 * lb * tail_sum >= self.total:
+            w += tail_cnt
+        return w
+
+    def heavy_members(self) -> list[int]:
+        lb = _l_bands(len(self.s))
+        tail_sum = sum(v for e, v in self.band_sum.items() if e > lb)
+        tail_heavy = tail_sum > 0 and 3 * lb * tail_sum >= self.total
+        heavy = {e for e, v in self.band_sum.items()
+                 if e <= lb and 3 * lb * v >= self.total}
+        return sorted(c for c, e in self.ell.items()
+                      if e in heavy or (tail_heavy and e > lb))
+
+
 class TestBandTracker:
     def test_matches_fresh_construction(self):
         rng = np.random.default_rng(5)
@@ -125,6 +226,186 @@ class TestBandTracker:
             ell = tr.ell[cid]
             # 2^-ell < s/total <= 2^-(ell-1)
             assert 2.0 ** -ell < s / tr.total <= 2.0 ** (-ell + 1)
+
+
+def improved_phase2_reference(run: RunState, trace: list | None = None):
+    """Improved Phase 2 one draw at a time: charge, re-band, test the rule.
+
+    Draws the same chunks as recovery._improved_phase2. When trace is a
+    list it receives (ledger after the draw, whether the draw discovered a
+    cluster) for every charged draw.
+    """
+    eps, k = run.config.eps, run.k
+    session = run.session
+    truth = session.truth
+    budget = session.budget
+    tracker = _BandTracker({cid: int(run.counts[cid - 1]) for cid in run.Q()})
+    label_to_cid = {int(truth[run.reps.rep_point(c)]): c for c in range(1, run.L + 1)}
+    excluded = run.recovered | run.starved
+    drawn_x: list[int] = []
+    drawn_cid: list[int] = []
+    s_now = run.s_total
+    try:
+        while True:
+            arr = sampling.d2_sample_batch(run.sampler, run.rng, recovery._PHASE_CHUNK)
+            for x, lab in zip(arr.tolist(), truth[arr].tolist()):
+                cid = label_to_cid.get(lab)
+                new = cid is None
+                cost = run.L if new else cid
+                if budget is not None and session.ledger + cost > budget:
+                    session.ledger = budget
+                    raise BudgetExhausted(f"query budget {budget} exhausted")
+                session.ledger += cost
+                if new:
+                    cid = run.reps.add_cluster(x)
+                    label_to_cid[lab] = cid
+                if trace is not None:
+                    trace.append((session.ledger, new))
+                drawn_x.append(x)
+                drawn_cid.append(cid)
+                s_now += 1
+                if cid not in excluded:
+                    tracker.add_sample(cid)
+                qn = len(tracker.s)
+                if qn:
+                    f = 1600.0 / eps * log2p(qn) * math.log(10.0 * (k + qn))
+                    if s_now >= f:      # |W| >= 1, so nothing stops below f
+                        w = tracker.w_count()
+                        if w and s_now >= f * w:
+                            return tracker.heavy_members(), qn
+    finally:
+        if drawn_x:
+            run.ingest(np.asarray(drawn_x, dtype=np.int64),
+                       np.asarray(drawn_cid, dtype=np.int64))
+
+
+def _phase2_state(run: RunState, outcome) -> tuple:
+    return (outcome, run.session.ledger, run.s_total, run.draws,
+            run.counts.tolist(), dict(run.reps.reps),
+            {c: np.flatnonzero(m).tolist() for c, m in run.masks.items()},
+            run.rng.bit_generator.state)
+
+
+def _run_phase2(phase2, snapshot: RunState, budget: int | None = None) -> tuple:
+    """Run one Phase-2 implementation on a copy of a snapshot, with a budget."""
+    run = copy.deepcopy(snapshot)
+    run.session.budget = budget
+    try:
+        outcome = phase2(run)
+    except BudgetExhausted:
+        outcome = "budget"
+    return _phase2_state(run, outcome)
+
+
+def _improved_fixtures():
+    """Random small blob fixtures with skewed sizes, in both reuse modes.
+
+    Skewed sizes leave light bands in the first round, so later rounds
+    enter Phase 2 with recovered clusters excluded.
+    """
+    rng = np.random.default_rng(1)
+    for i in range(3):
+        K = int(rng.integers(3, 9))
+        sizes = np.maximum(3, 1200 * rng.dirichlet(np.full(K, 0.4))).astype(int)
+        ps = blobs(rng.uniform(-10, 10, size=(K, 2)), sizes, float(rng.uniform(0.3, 1.0)), seed=i)
+        for reuse in (True, False):
+            yield ps, RecoveryConfig(eps=1.0, seed=i, reuse_samples=reuse, draw_cap=10 ** 9)
+
+
+class TestPhase2Reference:
+    def test_chunked_matches_draw_at_a_time(self, monkeypatch):
+        paths = {"constant": 0, "exact": 0}
+        constant_w = recovery._constant_w
+
+        def counting_constant_w(*args):
+            out = constant_w(*args)
+            paths["exact" if out is None else "constant"] += 1
+            return out
+
+        snapshots = []
+        chunked = recovery._improved_phase2
+
+        def snapshot_then_run(run):
+            snapshots.append(copy.deepcopy(run))
+            return chunked(run)
+
+        monkeypatch.setattr(recovery, "_constant_w", counting_constant_w)
+        max_discoveries_per_chunk = 0
+        budget_cases = {"mid-segment": 0, "discovery draw": 0, "stop draw": 0}
+        for ps, cfg in _improved_fixtures():
+            snapshots.clear()
+            monkeypatch.setattr(recovery, "_improved_phase2", snapshot_then_run)
+            run_improved(ps, OracleSession(ps.labels), cfg)
+            monkeypatch.setattr(recovery, "_improved_phase2", chunked)
+            assert snapshots
+            for snap in snapshots:
+                trace = []
+                ref = _run_phase2(lambda r: improved_phase2_reference(r, trace), snap)
+                assert _run_phase2(chunked, snap) == ref
+                disc = [i for i, (_, new) in enumerate(trace) if new]
+                per_chunk = np.bincount(np.asarray(disc, dtype=np.int64) // recovery._PHASE_CHUNK)
+                max_discoveries_per_chunk = max(max_discoveries_per_chunk, int(per_chunk.max(initial=0)))
+                # Budgets that run out on a chosen draw, plus one that fits exactly.
+                ledgers = [led for led, _ in trace]
+                mid = len(ledgers) // 2
+                assert len(ledgers) < 3 or not trace[mid][1]
+                budgets = {"mid-segment": ledgers[mid] - 1,
+                           "stop draw": ledgers[-1] - 1,
+                           "exact fit": ledgers[-1]}
+                if disc and disc[-1] > 0:
+                    budgets["discovery draw"] = ledgers[disc[-1]] - 1
+                for case, budget in budgets.items():
+                    want = _run_phase2(improved_phase2_reference, snap, budget)
+                    got = _run_phase2(chunked, snap, budget)
+                    assert got == want, case
+                    assert (want[0] == "budget") == (case != "exact fit")
+                    budget_cases[case] = budget_cases.get(case, 0) + 1
+        assert max_discoveries_per_chunk >= 2
+        assert min(budget_cases.values()) > 0
+        assert paths["constant"] > 0 and paths["exact"] > 0
+
+    def test_band_rules_match_tracker(self):
+        # Small counts cross band edges and heavy thresholds often.
+        rng = np.random.default_rng(11)
+        pinned = open_ranges = 0
+        for _ in range(300):
+            q0 = int(rng.integers(1, 12))
+            base = rng.integers(0, 4, size=q0)
+            base[0] = max(base[0], 1)
+            draws = rng.choice(q0, size=60, p=rng.dirichlet(np.full(q0, 0.5)))
+            C = base[:, None] + np.cumsum(draws == np.arange(q0)[:, None], axis=1)
+            T = C.sum(axis=0)
+            q, heavy = recovery._heavy_rows(C, T)
+            ell = recovery._bitlen(T // np.maximum(C, 1))
+            frac = C / T
+            assert np.all((C == 0) | ((2.0 ** -ell < frac) & (frac <= 2.0 ** (1 - ell))))
+            tracker = _BandTracker({c + 1: int(v) for c, v in enumerate(base)})
+            w = []
+            for j, c in enumerate(draws):
+                tracker.add_sample(int(c) + 1)
+                assert q[j] == len(tracker.s)
+                assert (np.flatnonzero(heavy[:, j]) + 1).tolist() == tracker.heavy_members()
+                w.append(tracker.w_count())
+            for _ in range(10):
+                a, b = sorted(int(v) for v in rng.integers(0, len(draws), size=2))
+                got = recovery._constant_w(C[:, a], C[:, b], int(T[a]), int(T[b]))
+                if got is None:
+                    open_ranges += 1
+                    continue
+                pinned += 1
+                assert all(got == (q[j], w[j]) for j in range(a, b + 1))
+        assert pinned > 0 and open_ranges > 0
+
+    @pytest.mark.parametrize("fixture", [0, 1])
+    def test_whole_run_matches_reference(self, monkeypatch, fixture):
+        ps, cfg = list(_improved_fixtures())[fixture]
+        full = run_improved(ps, OracleSession(ps.labels), cfg)
+        for budget in (None, full.queries_total // 3):
+            chunked = run_improved(ps, OracleSession(ps.labels, budget=budget), cfg)
+            monkeypatch.setattr(recovery, "_improved_phase2", improved_phase2_reference)
+            ref = run_improved(ps, OracleSession(ps.labels, budget=budget), cfg)
+            monkeypatch.undo()
+            assert chunked.to_payload() == ref.to_payload()
 
 
 def well_separated(sigma=0.05, sizes=(700, 500, 300), seed=0):
