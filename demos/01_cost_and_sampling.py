@@ -12,15 +12,15 @@ from samecluster import (
     CenterSet,
     OracleSession,
     Representatives,
+    SamplerState,
     add_center,
     centroid,
     centroid_error,
     cost,
-    d2_sample,
-    make_sampler,
     reference_point,
     rej_samp,
 )
+from samecluster.sampling import d2_sample_batch
 
 rng = np.random.default_rng(0)
 
@@ -38,9 +38,9 @@ print(f"cost(all points | both centroids)           = {cost(points, c_both):,.1f
 
 print()
 print("== D2-sampling ==")
-sampler = make_sampler(points)
+sampler = SamplerState(points)
 add_center(sampler, centroid(big))
-draws = np.array([d2_sample(sampler, rng) for _ in range(2000)])
+draws = d2_sample_batch(sampler, rng, 2000)
 frac_small = np.mean(labels[draws] == 2)
 print(f"the small cluster holds {40/440:.1%} of the points but receives "
       f"{frac_small:.1%} of the D2 draws: distance wins over size")

@@ -25,7 +25,6 @@ from .oracle import (
     check_cluster,
     classify,
     heuristic_classify,
-    same_cluster,
 )
 from .recovery import (
     BandPartition,
@@ -44,8 +43,6 @@ from .sampling import (
     QuotaUnreachable,
     SamplerState,
     add_center,
-    d2_sample,
-    make_sampler,
     reference_point,
     rej_samp,
 )
@@ -53,9 +50,9 @@ from .synthgen import SynthConfig, collision_groups, generate, zipf_sizes
 
 __all__ = [
     "PointSet", "CenterSet", "cost", "centroid", "centroid_error",
-    "OracleSession", "Representatives", "same_cluster", "classify",
+    "OracleSession", "Representatives", "classify",
     "heuristic_classify", "check_cluster", "BudgetExhausted",
-    "SamplerState", "make_sampler", "add_center", "d2_sample",
+    "SamplerState", "add_center",
     "reference_point", "rej_samp", "FullyCovered", "QuotaUnreachable",
     "RecoveryConfig", "RecoveryResult", "BandPartition", "split_bands",
     "phase1_probe", "run_basic", "run_improved", "run_basic_simplified",

@@ -20,6 +20,7 @@ from .oracle import BudgetExhausted, OracleSession, Representatives, check_clust
 from .recovery import (
     RecoveryResult,
     TargetReached,
+    _DrawCap,
     improved_t3,
     split_bands,
     threshold_t1,
@@ -143,7 +144,9 @@ def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
                         X, session, config, eps, sampler, rng, recovered_reps,
                         I, centers, log, k_guess, draw_cap, draws)
                     draws = done["draws"]
-                    if done["bailed"]:
+                    if done["bail"] == "draw_cap":
+                        raise _DrawCap()
+                    if done["bail"]:
                         saw_new = False
                     if done["starved"]:
                         incomplete = True
@@ -160,6 +163,9 @@ def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
         stop = "target"
     except BudgetExhausted:
         stop = "budget"
+    except _DrawCap:
+        stop = "draw_cap"
+        incomplete = True
 
     res = RecoveryResult(algorithm="noisy", seed=seed)
     res.I = list(I)
@@ -186,16 +192,21 @@ def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
 
 def _noisy_round(X, session, config, eps, sampler, rng, recovered_reps,
                  I, centers, log, k_guess, draw_cap, draws):
-    """Phases 2-4 of one noisy round; returns updated counters."""
+    """Phases 2-4 of one noisy round; returns updated counters.
+
+    out["bail"] names why the round gave up before recovering: "draw_cap"
+    when Phase 2 would pass the draw cap, "no_heavy_band" when no band is
+    heavy; it is None otherwise.
+    """
     k = len(I)
-    out = {"bailed": False, "starved": False, "draws": draws}
+    out = {"bail": None, "starved": False, "draws": draws}
     # Phase 2: double the guess q until enough large fresh groups survive.
     q = 1
     while True:
         arg = max(1.0, math.log2((k + q) / eps))
         T = math.ceil(config.c2 * q * q * arg * arg / (eps * eps))
         if out["draws"] + T > draw_cap:
-            out["bailed"] = True   # cannot confirm the Phase-1 signal
+            out["bail"] = "draw_cap"   # cannot confirm the Phase-1 signal
             return out
         S = _sampling.d2_sample_batch(sampler, rng, T)
         out["draws"] += T
@@ -215,7 +226,7 @@ def _noisy_round(X, session, config, eps, sampler, rng, recovered_reps,
     part = split_bands(p_hat, q=len(groups))
     W = part.heavy_clusters()
     if not W:
-        out["bailed"] = True
+        out["bail"] = "no_heavy_band"
         return out
     # Phase 3: reference point = minimum-weight member of each Z_j.
     refs = {j: _sampling.reference_point(set(groups[j]), sampler) for j in W}

@@ -15,15 +15,16 @@ class OracleError(ValueError):
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised before the first oracle call that would exceed the query budget.
+    """Raised by OracleSession.charge when a cost would pass the budget.
 
-    Batch helpers attach the work completed within budget as .classified
-    (an int64 array of assigned cluster indices) so callers can commit it.
+    The ledger is left at the budget. .done counts the leading items of
+    the charge whose cost fit in full; the caller commits exactly those
+    and discards the rest.
     """
 
-    def __init__(self, msg: str, classified=None):
+    def __init__(self, msg: str, done: int = 0):
         super().__init__(msg)
-        self.classified = classified if classified is not None else np.empty(0, dtype=np.int64)
+        self.done = done
 
 
 class OracleSession:
@@ -58,22 +59,38 @@ class OracleSession:
     def exact(self) -> bool:
         return self.error_prob == 0.0
 
-    def _charge(self, k: int = 1):
-        if self.budget is not None and self.ledger + k > self.budget:
-            # Consume what fits, then stop: the ledger never exceeds the budget.
+    def charge(self, cost: int) -> None:
+        """Add one item's cost to the ledger; the only budget comparison.
+
+        A cost that would pass the budget sets the ledger to the budget and
+        raises BudgetExhausted (with .done = 0) instead.
+        """
+        if self.budget is not None and self.ledger + cost > self.budget:
             self.ledger = self.budget
             raise BudgetExhausted(f"query budget {self.budget} exhausted")
-        self.ledger += k
+        self.ledger += cost
 
-    def remaining_budget(self) -> float:
-        return float("inf") if self.budget is None else self.budget - self.ledger
+    def charge_items(self, costs: np.ndarray) -> None:
+        """Charge a 1-d array of per-item costs, in order, through charge.
+
+        If the total does not fit, .done of the BudgetExhausted is the
+        number of leading items that fit in full. Kept apart from charge so
+        that the per-query path does no type dispatch.
+        """
+        start = self.ledger
+        try:
+            self.charge(int(np.sum(costs)))
+        except BudgetExhausted as e:
+            e.done = int(np.searchsorted(np.cumsum(costs), self.budget - start,
+                                         side="right"))
+            raise
 
     def same_cluster(self, i: int, j: int) -> bool:
         """Answer whether points i and j share a ground-truth cluster."""
         n = len(self.truth)
         if not (0 <= i < n and 0 <= j < n):
             raise OracleError(f"point index out of range: ({i}, {j})")
-        self._charge()
+        self.charge(1)
         if i == j:
             return True
         truth_ans = bool(self.truth[i] == self.truth[j])
@@ -86,10 +103,6 @@ class OracleSession:
             ans = truth_ans ^ flip
             self.answer_cache[key] = ans
         return ans
-
-
-def same_cluster(session: OracleSession, i: int, j: int) -> bool:
-    return session.same_cluster(i, j)
 
 
 class Representatives:
@@ -158,54 +171,15 @@ def classify(session: OracleSession, x: int, reps: Representatives) -> int:
 
 
 def classify_batch(session: OracleSession, xs: np.ndarray, reps: Representatives) -> np.ndarray:
-    """Vectorized exact-mode classify over a batch of point indices.
+    """Exact-mode classify over a batch: peek_classify, then commit all of it.
 
-    Ledger accounting and new-cluster registration are identical to calling
-    classify() sequentially: a sample of discovered cluster i costs i
-    queries, an undiscovered sample costs L and opens cluster L+1.
-    Raises BudgetExhausted at exactly the call where a sequential run
-    would; samples at and beyond the crossing are not classified.
+    Labels, ledger and registrations equal those of calling classify() on
+    each sample in order. On BudgetExhausted the samples before .done are
+    charged and their discoveries registered; no later sample is.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    out = np.empty(len(xs), dtype=np.int64)
-    pos = 0
-    while pos < len(xs):
-        rank = reps.rank_of_label(session)
-        labels = session.truth[xs[pos:]]
-        ranks = rank[labels]
-        new_at = np.flatnonzero(ranks == 0)
-        stop = int(new_at[0]) if len(new_at) else len(ranks)
-        if stop > 0:
-            chunk = ranks[:stop]
-            if session.budget is None:
-                session.ledger += int(chunk.sum())
-            else:
-                costs = np.cumsum(chunk)
-                remaining = session.remaining_budget()
-                if costs[-1] > remaining:
-                    n_full = int(np.searchsorted(costs, remaining, side="right"))
-                    out[pos:pos + n_full] = chunk[:n_full]
-                    session.ledger = session.budget  # mid-classify truncation
-                    raise BudgetExhausted(
-                        f"query budget {session.budget} exhausted",
-                        classified=out[:pos + n_full].copy(),
-                    )
-                session._charge(int(costs[-1]))
-            out[pos:pos + stop] = chunk
-            pos += stop
-        if stop < len(ranks):
-            # New cluster: costs L misses, then registers the point.
-            L = reps.discovered_count
-            if session.remaining_budget() < L:
-                session.ledger = session.budget
-                raise BudgetExhausted(
-                    f"query budget {session.budget} exhausted",
-                    classified=out[:pos].copy(),
-                )
-            session._charge(L)
-            out[pos] = reps.add_cluster(int(xs[pos]))
-            pos += 1
-    return out
+    cl, costs, new_firsts = peek_classify(session, xs, reps)
+    commit_classify(session, reps, costs, new_firsts, len(cl))
+    return cl
 
 
 def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives):
@@ -226,20 +200,19 @@ def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives)
     cl = rank[labels].astype(np.int64)
     costs = cl.copy()
     new_firsts: list[tuple[int, int]] = []
-    mask = cl == 0
-    if mask.any():
-        L = reps.discovered_count
-        prov: dict[int, int] = {}
-        first_pos: dict[int, int] = {}
-        for p in np.flatnonzero(mask):
-            lab = int(labels[p])
-            if lab not in prov:
-                prov[lab] = L + 1 + len(prov)
-                first_pos[lab] = int(p)
-                new_firsts.append((int(p), int(xs[p])))
-            cl[p] = prov[lab]
-            # First appearance pays one query per cluster discovered so far.
-            costs[p] = prov[lab] - 1 if int(p) == first_pos[lab] else prov[lab]
+    pos = np.flatnonzero(cl == 0)
+    if len(pos):
+        # Undiscovered labels are numbered L+1, L+2, ... by first appearance.
+        _, first, inv = np.unique(labels[pos], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        prov = np.empty(len(first), dtype=np.int64)
+        prov[order] = np.arange(reps.discovered_count + 1,
+                                reps.discovered_count + 1 + len(first))
+        cl[pos] = costs[pos] = prov[inv]
+        firsts = pos[first[order]]
+        # First appearance pays one query per cluster discovered so far.
+        costs[firsts] -= 1
+        new_firsts = list(zip(firsts.tolist(), xs[firsts].tolist()))
     return cl, costs, new_firsts
 
 
@@ -247,27 +220,20 @@ def commit_classify(session: OracleSession, reps: Representatives,
                     costs: np.ndarray, new_firsts, upto: int):
     """Charge and register the first `upto` samples of a peeked batch.
 
-    Raises BudgetExhausted at the exact sequential crossing point, with
-    the number of fully committed samples in .classified (as a 0-d count).
+    The costs go through session.charge_items. If it raises BudgetExhausted,
+    only the discoveries before .done are registered, which is where a
+    draw-at-a-time run would stop, and the exception propagates.
     """
-    if upto <= 0:
-        return
-    cum = np.cumsum(costs[:upto])
-    remaining = session.remaining_budget()
-    if cum[-1] > remaining:
-        n_full = int(np.searchsorted(cum, remaining, side="right"))
+    done = upto
+    try:
+        session.charge_items(costs[:upto])
+    except BudgetExhausted as e:
+        done = e.done
+        raise
+    finally:
         for p, x in new_firsts:
-            if p < n_full:
+            if p < done:
                 reps.add_cluster(x)
-        session.ledger = session.budget
-        raise BudgetExhausted(
-            f"query budget {session.budget} exhausted",
-            classified=np.asarray(n_full),
-        )
-    session._charge(int(cum[-1]))
-    for p, x in new_firsts:
-        if p < upto:
-            reps.add_cluster(x)
 
 
 def heuristic_classify(session: OracleSession, x: int, centers, reps: Representatives,

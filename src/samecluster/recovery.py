@@ -305,15 +305,24 @@ class RunState:
         self.s_total += total
         self.draws += total
 
+    def commit_peeked(self, idx: np.ndarray, cl: np.ndarray, costs: np.ndarray,
+                      new_firsts, upto: int):
+        """Charge, register and ingest the first `upto` draws of a peeked batch.
+
+        On BudgetExhausted the draws before .done are ingested, then the
+        exception propagates.
+        """
+        try:
+            _oracle.commit_classify(self.session, self.reps, costs, new_firsts, upto)
+        except BudgetExhausted as e:
+            self.ingest(idx[:e.done], cl[:e.done])
+            raise
+        self.ingest(idx[:upto], cl[:upto])
+
     def _ordered_fill_chunk(self, b: int):
         idx = _sampling.d2_sample_batch(self.sampler, self.rng, b)
-        try:
-            cl = _oracle.classify_batch(self.session, idx, self.reps)
-        except BudgetExhausted as e:
-            done = len(e.classified)
-            self.ingest(idx[:done], e.classified)
-            raise
-        self.ingest(idx, cl)
+        cl, costs, new_firsts = _oracle.peek_classify(self.session, idx, self.reps)
+        self.commit_peeked(idx, cl, costs, new_firsts, b)
 
     def draw_classified_fill(self, n: int):
         """Draw n D2-samples, classify in discovery order, commit exactly.
@@ -343,7 +352,7 @@ class RunState:
                 remaining -= b
                 continue
             mult = counts[sampled].astype(np.int64)
-            session._charge(int((mult * cl).sum()))
+            session.charge(int((mult * cl).sum()))
             self.ingest_counts(sampled, cl, mult)
             remaining -= b
 
@@ -579,9 +588,9 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
     clusters in heavy bands of the unrecovered sample counts.
 
     Draws come in chunks of _PHASE_CHUNK, each peek-classified and split
-    into segments at the first draw of every undiscovered label, the split
-    classify_batch makes; q can then change inside a segment only when a
-    discovered but unsampled cluster is drawn. Per segment (`_phase2_stop`):
+    into segments at the first draw of every undiscovered label; q can then
+    change inside a segment only when a discovered but unsampled cluster is
+    drawn. Per segment (`_phase2_stop`):
 
     * Interval fast path: counts only grow, and a band index bitlen(T // s)
       rises with T and falls with s, so the counts after the segment's
@@ -592,10 +601,10 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
       are built and `_heavy_rows` evaluates the rule at every position.
 
     Only the prefix through the stop draw is charged, registered and
-    ingested. commit_classify raises BudgetExhausted on the draw where a
-    draw-at-a-time run would, since that run checks the budget before the
-    stop rule. TestPhase2Reference in tests/test_recovery.py holds the
-    draw-at-a-time reference this must match.
+    ingested. The budget stops the run on the draw where a draw-at-a-time
+    run would, since that run checks the budget before the stop rule.
+    TestPhase2Reference in tests/test_recovery.py holds the draw-at-a-time
+    reference this must match.
     """
     session = run.session
     while True:
@@ -603,13 +612,7 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, run.reps)
         stop = _phase2_stop(run, cl, new_firsts)
         upto = len(idx) if stop is None else stop + 1
-        try:
-            _oracle.commit_classify(session, run.reps, costs, new_firsts, upto)
-        except BudgetExhausted as e:
-            done = int(e.classified)
-            run.ingest(idx[:done], cl[:done])
-            raise
-        run.ingest(idx[:upto], cl[:upto])
+        run.commit_peeked(idx, cl, costs, new_firsts, upto)
         if stop is not None:
             break
     Q = np.asarray(run.Q(), dtype=np.int64)
@@ -771,11 +774,9 @@ class _ExpEngine:
         rank_arr = run.reps.rank_of_label(session)
         true_cid = int(rank_arr[lab]) if lab < len(rank_arr) else 0
         if L == 0:
-            cost = 0
             cid = run.reps.add_cluster(x)
         elif true_cid == 0:
-            cost = L
-            self._charge(cost)
+            session.charge(L)
             cid = run.reps.add_cluster(x)
         else:
             # Query order: increasing distance to running centers, ties by id.
@@ -783,8 +784,7 @@ class _ExpEngine:
             diff = centers - run.X.points[x]
             d2 = np.einsum("ld,ld->l", diff, diff)
             order = np.argsort(d2, kind="stable")
-            cost = int(np.nonzero(order == true_cid - 1)[0][0]) + 1
-            self._charge(cost)
+            session.charge(int(np.nonzero(order == true_cid - 1)[0][0]) + 1)
             cid = true_cid
         run.ingest_one(x, cid)
         if cid not in run.recovered and cid not in run.starved:
@@ -798,13 +798,6 @@ class _ExpEngine:
                 if run.rng.random() < p:
                     run.accepted.setdefault(cid, []).append(x)
         return cid
-
-    def _charge(self, cost: int):
-        session = self.run.session
-        if session.budget is not None and session.ledger + cost > session.budget:
-            session.ledger = session.budget
-            raise BudgetExhausted(f"query budget {session.budget} exhausted")
-        session.ledger += cost
 
 
 def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
@@ -951,19 +944,22 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
             B = int(min(4096, config.draw_cap - run.draws))
             idx = run.rng.integers(0, n, size=B)
             cl, costs, new_firsts = _oracle.peek_classify(run.session, idx, run.reps)
-            cut, events, budget_hit = _uniform_scan(run, cl, costs, h, pending)
-            _oracle.commit_classify(run.session, run.reps, costs, new_firsts, cut)
-            run.ingest(idx[:cut], cl[:cut])
-            for p in range(cut):
-                pending.setdefault(int(cl[p]), []).append(int(idx[p]))
-            for _, cid in events:
-                first = run.X.points[np.asarray(pending[cid][:h + 1])]
-                run.commit_recovery(cid, first.mean(axis=0))
+            cut, events = _uniform_scan(run, cl, h, pending)
+            try:
+                run.commit_peeked(idx, cl, costs, new_firsts, cut)
+            except BudgetExhausted as e:
+                cut = e.done
+                raise
+            finally:
+                # Recover what the committed draws complete, budget or not.
+                for p in range(cut):
+                    pending.setdefault(int(cl[p]), []).append(int(idx[p]))
+                for p, cid in events:
+                    if p < cut:
+                        first = run.X.points[np.asarray(pending[cid][:h + 1])]
+                        run.commit_recovery(cid, first.mean(axis=0))
             if run.target is not None and run.k >= run.target:
                 raise TargetReached()
-            if budget_hit:
-                session.ledger = session.budget
-                raise BudgetExhausted(f"query budget {session.budget} exhausted")
     except TargetReached:
         stop = "target"
     except BudgetExhausted:
@@ -972,28 +968,20 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
     return run.finalize("uniform", stop)
 
 
-def _uniform_scan(run: RunState, cl: np.ndarray, costs: np.ndarray, h: int,
+def _uniform_scan(run: RunState, cl: np.ndarray, h: int,
                   pending: dict[int, list[int]]):
-    """Walk a peeked batch, simulating ledger and recovery events.
+    """Walk a peeked batch for recovery events, up to the target.
 
-    Returns (cut, events, budget_hit): how many draws commit, the recovery
-    events [(position, cid)] inside the committed prefix, and whether the
-    budget stops the run at the cut.
+    Returns (cut, events): the draws to commit, which is the whole batch or
+    the prefix through the draw that reaches the target, and the recovery
+    events [(position, cid)] inside that prefix.
     """
-    session = run.session
-    budget = session.budget
-    led = session.ledger
     k = run.k
     target = run.target
     events: list[tuple[int, int]] = []
     recovered = set(run.recovered)
     counts: dict[int, int] = {}
-    for p in range(len(cl)):
-        c = int(costs[p])
-        if budget is not None and led + c > budget:
-            return p, events, True
-        led += c
-        cid = int(cl[p])
+    for p, cid in enumerate(cl.tolist()):
         if cid not in recovered:
             counts[cid] = counts.get(cid, 0) + 1
             if len(pending.get(cid, ())) + counts[cid] > h:
@@ -1001,5 +989,5 @@ def _uniform_scan(run: RunState, cl: np.ndarray, costs: np.ndarray, h: int,
                 recovered.add(cid)
                 k += 1
                 if target is not None and k >= target:
-                    return p + 1, events, False
-    return len(cl), events, False
+                    return p + 1, events
+    return len(cl), events

@@ -58,10 +58,6 @@ class SamplerState:
         return self._cumsum
 
 
-def make_sampler(points) -> SamplerState:
-    return SamplerState(np.asarray(points, dtype=np.float64))
-
-
 def add_center(state: SamplerState, center) -> SamplerState:
     """Lower each weight to min(weight, ||x - c||^2); one linear pass."""
     c = np.asarray(center, dtype=np.float64).ravel()
@@ -91,10 +87,6 @@ def d2_sample_batch(state: SamplerState, rng: np.random.Generator, size: int) ->
     r = rng.random(size) * cs[-1]
     idx = np.searchsorted(cs, r, side="right")
     return np.minimum(idx, state.n_points - 1)
-
-
-def d2_sample(state: SamplerState, rng: np.random.Generator) -> int:
-    return int(d2_sample_batch(state, rng, 1)[0])
 
 
 def reference_point(sample_indices, state: SamplerState) -> int:
@@ -248,7 +240,7 @@ def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
                           minlength=max(W)).astype(np.int64)
         if all(got[j - 1] >= nd[j] for j in W):
             return None, "finishing"
-    session._charge(int((mult * cl).sum()))
+    session.charge(int((mult * cl).sum()))
     if len(acc_counts):
         pts = sampled[in_w]
         cls = cl[in_w]
@@ -267,7 +259,7 @@ def _rej_samp_scalar(state, W, ref_w, scale, need, accepted, *, rng, checker, dr
             raise QuotaUnreachable(
                 f"draw cap {draw_cap} reached with quotas unmet for {unmet}",
                 accepted=accepted, unmet=unmet, draws=draws)
-        x = d2_sample(state, rng)
+        x = int(d2_sample_batch(state, rng, 1)[0])
         draws += 1
         j = int(checker(x))
         if j not in ref_w:

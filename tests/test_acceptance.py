@@ -33,7 +33,7 @@ from samecluster.recovery import (
     run_uniform,
     split_bands,
 )
-from samecluster.sampling import add_center, d2_sample_batch, make_sampler, rej_samp
+from samecluster.sampling import SamplerState, add_center, d2_sample_batch, rej_samp
 from samecluster.synthgen import SynthConfig, generate
 
 DATA = Path(__file__).parent / "data"
@@ -66,7 +66,7 @@ def test_c01_sampler_fidelity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(50, 2)) * 3.0
-    st = make_sampler(pts)
+    st = SamplerState(pts)
     add_center(st, [0.0, 0.0])
     add_center(st, [4.0, 4.0])
     exact = st.weights / st.total
@@ -89,7 +89,7 @@ def test_c02_rejection_uniformity():
     reps = Representatives()
     reps.add_cluster(0)
     reps.add_cluster(20)
-    st = make_sampler(pts)
+    st = SamplerState(pts)
     add_center(st, [0.0, 0.0])
     ref = int(np.argmin(st.weights[:20]))
     accepted, draws, _ = rej_samp(

@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
 from samecluster.noisy import NoisyConfig, find_clusters, group_size_cutoff, run_noisy
 from samecluster.oracle import OracleSession
 from samecluster.recovery import RecoveryConfig, run_improved
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def three_blobs(seed=3, sigma=0.3, size=400):
@@ -130,3 +136,13 @@ class TestRunNoisy:
         b = run_noisy(ps, OracleSession(ps.labels, error_prob=0.1, rng_seed=3),
                       NoisyConfig(p=0.1), eps=0.5, seed=4)
         assert a.to_payload() == b.to_payload()
+
+    def test_draw_cap_bail_reports_draw_cap(self):
+        # Phase 2 of the first round needs more draws than the cap allows:
+        # the run gives up before recovering and must say so.
+        ps, _ = load(DatasetSpec(DATA / "three_blobs.csv", normalize=False))
+        sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=1)
+        res = run_noisy(ps, sess, NoisyConfig(p=0.1), eps=0.5, seed=2, draw_cap=50)
+        assert res.K_recovered == 0
+        assert res.stop_reason == "draw_cap"
+        assert res.incomplete is True

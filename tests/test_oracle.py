@@ -12,7 +12,6 @@ from samecluster.oracle import (
     commit_classify,
     heuristic_classify,
     peek_classify,
-    same_cluster,
 )
 
 TRUTH = [1, 1, 2, 2, 2, 3, 3, 2, 5, 5]
@@ -25,21 +24,21 @@ def make_session(p=0.0, seed=0, budget=None):
 class TestSameCluster:
     def test_exact_true(self):
         s = make_session()
-        assert same_cluster(s, 3, 7) is True  # truth 2 == 2
+        assert s.same_cluster(3, 7) is True  # truth 2 == 2
 
     def test_exact_false(self):
         s = make_session()
-        assert same_cluster(s, 3, 8) is False  # truth 2 vs 5
+        assert s.same_cluster(3, 8) is False  # truth 2 vs 5
 
     def test_ledger_counts_every_call(self):
         s = make_session()
         for _ in range(5):
-            same_cluster(s, 0, 1)
+            s.same_cluster(0, 1)
         assert s.ledger == 5
 
     def test_noisy_repetition_consistent(self):
         s = make_session(p=0.2, seed=42)
-        first = [same_cluster(s, 3, 7) for _ in range(10)]
+        first = [s.same_cluster(3, 7) for _ in range(10)]
         assert len(set(first)) == 1
 
     def test_noisy_replay_identical(self):
@@ -51,15 +50,65 @@ class TestSameCluster:
 
     def test_self_pair_true(self):
         s = make_session(p=0.4, seed=1)
-        assert all(same_cluster(s, 4, 4) for _ in range(20))
+        assert all(s.same_cluster(4, 4) for _ in range(20))
 
     def test_out_of_range(self):
         with pytest.raises(OracleError):
-            same_cluster(make_session(), 0, 99)
+            make_session().same_cluster(0, 99)
 
     def test_error_prob_validated(self):
         with pytest.raises(OracleError):
             OracleSession(TRUTH, error_prob=0.5)
+
+
+def charge_loop(start: int, costs, budget):
+    """Reference: charge items one at a time; (ledger, items done, raised)."""
+    ledger = start
+    for done, c in enumerate(costs):
+        if budget is not None and ledger + c > budget:
+            return budget, done, True
+        ledger += c
+    return ledger, len(costs), False
+
+
+class TestCharge:
+    def test_matches_item_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            costs = rng.integers(0, 5, size=int(rng.integers(0, 12)))
+            if len(costs) and rng.random() < 0.5:
+                costs[0] = 0            # a run's first draw costs nothing
+            start = int(rng.integers(0, 6))
+            total = int(costs.sum())
+            # No room left (budget 0 when start is 0), exact fit, one short
+            # and a random budget.
+            budgets = {None, start, start + total, start + total - 1,
+                       int(rng.integers(start, start + total + 3))}
+            for budget in budgets - {start - 1}:
+                want = charge_loop(start, costs.tolist(), budget)
+                assert want[0] == (start + total if budget is None
+                                   else min(budget, start + total))
+                s = make_session(budget=budget)
+                s.ledger = start
+                try:
+                    s.charge_items(costs)
+                    got = (s.ledger, len(costs), False)
+                except BudgetExhausted as e:
+                    got = (s.ledger, e.done, True)
+                assert got == want
+                # Charging one item at a time agrees.
+                s = make_session(budget=budget)
+                s.ledger = start
+                done = 0
+                try:
+                    for c in costs.tolist():
+                        s.charge(c)
+                        done += 1
+                    got = (s.ledger, done, False)
+                except BudgetExhausted as e:
+                    assert e.done == 0
+                    got = (s.ledger, done, True)
+                assert got == want
 
 
 class TestClassify:
@@ -122,16 +171,34 @@ class TestClassifyBatch:
         assert r1.reps == r2.reps
 
     def test_budget_truncates_exactly(self):
+        # Every budget from 0 to the full ledger, against scalar classify:
+        # the same samples commit, with the same reps and ledger.
         rng = np.random.default_rng(4)
         xs = rng.integers(0, len(TRUTH), size=100)
         s_full, r_full = make_session(), Representatives()
         classify_batch(s_full, xs, r_full)
-        full_ledger = s_full.ledger
-        budget = full_ledger // 2
-        s, r = make_session(budget=budget), Representatives()
-        with pytest.raises(BudgetExhausted):
-            classify_batch(s, xs, r)
-        assert s.ledger == budget
+        crossed_on_discovery = 0
+        for budget in range(s_full.ledger + 1):
+            s1, r1 = make_session(budget=budget), Representatives()
+            done1 = 0
+            try:
+                for x in xs:
+                    classify(s1, int(x), r1)
+                    done1 += 1
+            except BudgetExhausted:
+                pass
+            s2, r2 = make_session(budget=budget), Representatives()
+            try:
+                classify_batch(s2, xs, r2)
+                done2 = len(xs)
+            except BudgetExhausted as e:
+                done2 = e.done
+            assert done2 == done1
+            assert s2.ledger == s1.ledger == min(budget, s_full.ledger)
+            assert r2.reps == r1.reps
+            if done1 < len(xs) and r1.rank_of_label(s1)[TRUTH[xs[done1]]] == 0:
+                crossed_on_discovery += 1
+        assert crossed_on_discovery > 0
 
     def test_peek_commit_matches_batch(self):
         rng = np.random.default_rng(8)

@@ -8,7 +8,7 @@ import pytest
 from samecluster import recovery
 from samecluster import sampling
 from samecluster.geometry import PointSet
-from samecluster.oracle import BudgetExhausted, OracleSession
+from samecluster.oracle import BudgetExhausted, OracleSession, classify
 from samecluster.recovery import (
     RecoveryConfig,
     RunState,
@@ -558,6 +558,60 @@ class TestRunUniform:
         ps = blobs([(0.0, 0.0)], [50], 0.1)
         with pytest.raises(ValueError):
             run_uniform(ps, OracleSession(ps.labels), RecoveryConfig(seed=0))
+
+
+def uniform_reference(X: PointSet, session: OracleSession, config: RecoveryConfig,
+                      target: int | None = None):
+    """run_uniform one draw at a time.
+
+    Draws the same 4096-draw rng.integers blocks, classifies each draw with
+    scalar classify, and recovers a cluster at its (h+1)-th sample from
+    the mean of those h+1 samples.
+    """
+    run = RunState(X, session, config, target)
+    h = config.heavy_threshold
+    pending: dict[int, list[int]] = {}
+    stop = "target"
+    try:
+        while target is None or run.k < target:
+            for x in run.rng.integers(0, len(X), size=4096).tolist():
+                cid = classify(session, x, run.reps)
+                run.draws += 1
+                pending.setdefault(cid, []).append(x)
+                if cid not in run.recovered and len(pending[cid]) > h:
+                    run.commit_recovery(cid, X.points[pending[cid][:h + 1]].mean(axis=0))
+                    if target is not None and run.k >= target:
+                        break
+    except BudgetExhausted:
+        stop = "budget"
+    run.round = run.k
+    return run.finalize("uniform", stop)
+
+
+class TestUniformReference:
+    def test_matches_draw_at_a_time(self):
+        # The rare cluster (0.2% of the points) needs about 5500 draws, so
+        # the run spans more than one 4096-draw block.
+        ps = blobs([(0.0, 0.0), (9.0, 0.0), (0.0, 9.0), (9.0, 9.0)],
+                   [3000, 1500, 490, 10], 0.1, seed=3)
+        cfg = RecoveryConfig(seed=5, heavy_threshold=10)
+        full = run_uniform(ps, OracleSession(ps.labels), cfg, target=4)
+        assert full.stop_reason == "target" and full.samples_total > 4096
+        L = full.queries_total
+        cases = [(b, 4) for b in (None, 0, 5, L // 2, L - 1, L, L + 1)]
+        cases += [(b, None) for b in (5, L // 3, L // 2, L + 1)]
+        recovered_under_budget = 0
+        for budget, target in cases:
+            got = run_uniform(ps, OracleSession(ps.labels, budget=budget), cfg, target)
+            want = uniform_reference(ps, OracleSession(ps.labels, budget=budget), cfg, target)
+            assert got.to_payload() == want.to_payload(), (budget, target)
+            if got.stop_reason == "budget" and got.K_recovered:
+                recovered_under_budget += 1
+            if (budget, target) == (L + 1, None):
+                # Without the target, budget L+1 cuts the block in which
+                # the target run stopped.
+                assert (got.samples_total - 1) // 4096 == (full.samples_total - 1) // 4096
+        assert recovered_under_budget >= 3
 
 
 class TestPhase1Probe:

@@ -6,11 +6,10 @@ from samecluster.oracle import OracleSession, Representatives
 from samecluster.sampling import (
     FullyCovered,
     QuotaUnreachable,
+    SamplerState,
     acceptance_probability,
     add_center,
-    d2_sample,
     d2_sample_batch,
-    make_sampler,
     reference_point,
     rej_samp,
 )
@@ -18,19 +17,19 @@ from samecluster.sampling import (
 
 class TestAddCenter:
     def test_pointwise_min(self):
-        st = make_sampler([[0.0], [3.0]])
+        st = SamplerState([[0.0], [3.0]])
         add_center(st, [2.0])       # dists^2 = (4, 1)
         np.testing.assert_allclose(st.weights, [4.0, 1.0])
         add_center(st, [-1.0])      # dists^2 = (1, 16)
         np.testing.assert_allclose(st.weights, [1.0, 1.0])
 
     def test_center_on_data_point(self):
-        st = make_sampler([[0.0, 0.0], [1.0, 1.0]])
+        st = SamplerState([[0.0, 0.0], [1.0, 1.0]])
         add_center(st, [1.0, 1.0])
         assert st.weights[1] == 0.0
 
     def test_idempotent(self):
-        st = make_sampler(np.random.default_rng(0).normal(size=(10, 3)))
+        st = SamplerState(np.random.default_rng(0).normal(size=(10, 3)))
         add_center(st, np.zeros(3))
         w1 = st.weights.copy()
         add_center(st, np.zeros(3))
@@ -38,13 +37,13 @@ class TestAddCenter:
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            add_center(make_sampler([[0.0, 0.0]]), [1.0])
+            add_center(SamplerState([[0.0, 0.0]]), [1.0])
 
     def test_incremental_equals_batch(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(200, 5))
         cs = rng.normal(size=(6, 5))
-        st = make_sampler(pts)
+        st = SamplerState(pts)
         for c in cs:
             add_center(st, c)
         fresh = np.min(
@@ -56,7 +55,7 @@ class TestAddCenter:
 
 class TestD2Sample:
     def test_ratio_distribution(self):
-        st = make_sampler([[0.0], [2.0]])
+        st = SamplerState([[0.0], [2.0]])
         add_center(st, [-1.0])      # weights 1, 9 -> Pr(b) = 0.75... use spec's 1:3
         st.weights = np.array([1.0, 3.0])
         st.total = 4.0
@@ -66,27 +65,27 @@ class TestD2Sample:
         assert np.mean(draws == 1) == pytest.approx(0.75, abs=0.02)
 
     def test_uniform_fallback_no_centers(self):
-        st = make_sampler(np.zeros((4, 1)))
+        st = SamplerState(np.zeros((4, 1)))
         rng = np.random.default_rng(1)
         draws = d2_sample_batch(st, rng, 40000)
         counts = np.bincount(draws, minlength=4) / 40000
         np.testing.assert_allclose(counts, 0.25, atol=0.02)
 
     def test_single_support_point(self):
-        st = make_sampler([[0.0], [5.0]])
+        st = SamplerState([[0.0], [5.0]])
         add_center(st, [5.0])       # weights 25, 0
         rng = np.random.default_rng(2)
         assert set(d2_sample_batch(st, rng, 200).tolist()) == {0}
 
     def test_fully_covered_raises(self):
-        st = make_sampler([[1.0], [2.0]])
+        st = SamplerState([[1.0], [2.0]])
         add_center(st, [1.0])
         add_center(st, [2.0])
         with pytest.raises(FullyCovered):
-            d2_sample(st, np.random.default_rng(0))
+            d2_sample_batch(st, np.random.default_rng(0), 1)
 
     def test_zero_weight_points_never_drawn(self):
-        st = make_sampler([[0.0], [1.0], [2.0]])
+        st = SamplerState([[0.0], [1.0], [2.0]])
         add_center(st, [1.0])
         draws = d2_sample_batch(st, np.random.default_rng(3), 5000)
         assert 1 not in set(draws.tolist())
@@ -94,35 +93,35 @@ class TestD2Sample:
 
 class TestReferencePoint:
     def test_argmin(self):
-        st = make_sampler([[0.0], [1.0], [2.0], [3.0]])
+        st = SamplerState([[0.0], [1.0], [2.0], [3.0]])
         st.weights = np.array([5.0, 2.0, 7.0, 1.0])
         assert reference_point([0, 1, 2], st) == 1
 
     def test_single_sample(self):
-        st = make_sampler([[0.0], [1.0]])
+        st = SamplerState([[0.0], [1.0]])
         st.weights = np.array([5.0, 2.0])
         assert reference_point([0], st) == 0
 
     def test_tie_breaks_low_index(self):
-        st = make_sampler(np.zeros((10, 1)))
+        st = SamplerState(np.zeros((10, 1)))
         st.weights = np.full(10, 3.0)
         assert reference_point([9, 4], st) == 4
 
 
 class TestAcceptanceProbability:
     def test_hand_value(self):
-        st = make_sampler([[0.0], [1.0]])
+        st = SamplerState([[0.0], [1.0]])
         st.weights = np.array([4.0, 16.0])
         assert acceptance_probability(st, 0, 1, eps=0.64) == pytest.approx(0.00125)
 
     def test_clamped_at_one(self):
-        st = make_sampler([[0.0], [1.0]])
+        st = SamplerState([[0.0], [1.0]])
         st.weights = np.array([100.0, 0.5])
         assert acceptance_probability(st, 0, 1, eps=1.0) == 1.0
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        st = make_sampler(rng.normal(size=(50, 2)))
+        st = SamplerState(rng.normal(size=(50, 2)))
         add_center(st, rng.normal(size=2))
         for _ in range(200):
             i, j = rng.integers(0, 50, size=2)
@@ -147,7 +146,7 @@ class TestRejSamp:
         reps = Representatives()
         reps.add_cluster(0)    # discovered id 1 = planted far cluster
         reps.add_cluster(20)   # discovered id 2 = near cluster
-        st = make_sampler(pts)
+        st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
         ref = reference_point(range(20), st)
         accepted, draws, queries = rej_samp(
@@ -162,7 +161,7 @@ class TestRejSamp:
         # All points equidistant from the center: acceptance = eps/128 exactly.
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         session = OracleSession([1, 1, 1, 1])
-        st = make_sampler(pts)
+        st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
         rng = np.random.default_rng(1)
         accepted, draws, _ = rej_samp(
@@ -174,7 +173,7 @@ class TestRejSamp:
     def test_draw_cap(self):
         pts, labels = _planted_two_clusters(np.random.default_rng(2))
         session = OracleSession(labels)
-        st = make_sampler(pts)
+        st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
         with pytest.raises(QuotaUnreachable) as ei:
             rej_samp(st, session, W=[1], refs={1: 0}, T=10**6, eps=0.01,
@@ -187,13 +186,13 @@ class TestRejSamp:
         rng = np.random.default_rng(4)
         pts, labels = _planted_two_clusters(rng)
         session = OracleSession(labels)
-        st = make_sampler(pts)
+        st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
         calls = []
 
         def checker(x):
             calls.append(x)
-            session._charge()
+            session.charge(1)
             return int(labels[x])
 
         accepted, draws, _ = rej_samp(
