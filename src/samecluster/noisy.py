@@ -15,17 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling as _sampling
-from .geometry import PointSet, centroid_error
-from .oracle import BudgetExhausted, OracleSession, Representatives, check_cluster
+from .geometry import PointSet
+from .oracle import OracleSession, Representatives, check_cluster
 from .recovery import (
+    RecoveryConfig,
     RecoveryResult,
-    TargetReached,
+    RunState,
     _DrawCap,
     improved_t3,
+    k_doubling,
     split_bands,
     threshold_t1,
 )
-from .sampling import QuotaUnreachable, SamplerState
 
 
 @dataclass
@@ -98,124 +99,53 @@ def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
               target: int | None = None) -> RecoveryResult:
     """Noisy-oracle recovery: K-doubling rounds with majority-vote
     classification, greedy grouping, band selection and rejection sampling."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must be in (0, 1]")
+    rconfig = RecoveryConfig(eps, draw_cap=draw_cap, seed=seed)
     if abs(session.error_prob - config.p) > 1e-12:
         raise ValueError("session error probability differs from config.p")
-    rng = np.random.default_rng(seed)
-    sampler = SamplerState(X.points)
-    recovered_reps = Representatives(noisy=True)
-    I: list[int] = []
-    centers: dict[int, np.ndarray] = {}
-    logs: list[dict] = []
-    draws = 0
-    rounds = 0
-    stop = "terminated"
-    incomplete = False
-
-    def rep_cap(k_guess: int) -> int:
-        return max(1, math.ceil(config.rep_size_cap * k_guess / eps))
-
-    def classify_recovered(x: int) -> int | None:
-        return check_cluster(session, x, recovered_reps)
-
-    try:
-        k_guess = 1
-        while True:
-            saw_new = True
-            while True:
-                rounds += 1
-                log = {"round": rounds, "K_guess": k_guess, "recovered": [],
-                       "skipped": []}
-                logs.append(log)
-                k = len(I)
-                # Phase 1: D2-sample floor(T1)+1 points, stop at the first
-                # that matches no recovered cluster.
-                n1 = math.floor(threshold_t1(eps, k)) + 1
-                probe = _sampling.d2_sample_batch(sampler, rng, n1)
-                draws += n1
-                saw_new = False
-                for x in probe:
-                    if classify_recovered(int(x)) is None:
-                        saw_new = True
-                        break
-                if saw_new and k < k_guess:
-                    done = _noisy_round(
-                        X, session, config, eps, sampler, rng, recovered_reps,
-                        I, centers, log, k_guess, draw_cap, draws)
-                    draws = done["draws"]
-                    if done["bail"] == "draw_cap":
-                        raise _DrawCap()
-                    if done["bail"]:
-                        saw_new = False
-                    if done["starved"]:
-                        incomplete = True
-                    if target is not None and len(I) >= target:
-                        raise TargetReached()
-                log["queries"] = session.ledger
-                log["samples"] = draws
-                if not saw_new or len(I) >= k_guess:
-                    break
-            if not saw_new and len(I) <= k_guess:
-                break
-            k_guess *= 2
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    except _DrawCap:
-        stop = "draw_cap"
-        incomplete = True
-
-    res = RecoveryResult(algorithm="noisy", seed=seed)
-    res.I = list(I)
-    res.centers = {cid: centers[cid].tolist() for cid in I}
-    res.reps = {cid: int(recovered_reps.members(cid)[0]) for cid in I}
-    res.K_recovered = len(I)
-    res.L_discovered = len(I)
-    res.queries_total = session.ledger
-    res.samples_total = draws
-    res.rounds_total = rounds
-    res.per_round = logs
-    res.stop_reason = stop
-    res.incomplete = incomplete
-    if X.labels is not None:
-        for cid in I:
-            members = recovered_reps.members(cid)
-            labs = X.labels[np.asarray(members)]
-            lab = int(np.bincount(labs).argmax())
-            res.truth_labels[cid] = lab
-            res.per_cluster_errors[cid] = centroid_error(
-                X.cluster_points(lab), centers[cid])
-    return res
+    run = RunState(X, session, rconfig, target)
+    run.reps = Representatives(noisy=True)   # recovered clusters only
+    return run.execute("noisy", k_doubling, _noisy_probe,
+                       lambda r, k_guess, log: _noisy_round(r, config, k_guess, log))
 
 
-def _noisy_round(X, session, config, eps, sampler, rng, recovered_reps,
-                 I, centers, log, k_guess, draw_cap, draws):
-    """Phases 2-4 of one noisy round; returns updated counters.
+def _noisy_probe(run: RunState) -> bool:
+    """Phase 1: D2-sample floor(T1)+1 points in one batch and report whether
+    one matches no recovered cluster (checked up to the first that does not).
 
-    out["bail"] names why the round gave up before recovering: "draw_cap"
-    when Phase 2 would pass the draw cap, "no_heavy_band" when no band is
-    heavy; it is None otherwise.
+    A batch that would pass the draw cap is not drawn.
     """
-    k = len(I)
-    out = {"bail": None, "starved": False, "draws": draws}
+    n1 = math.floor(threshold_t1(run.config.eps, run.k)) + 1
+    if run.draws + n1 > run.config.draw_cap:
+        raise _DrawCap()
+    probe = _sampling.d2_sample_batch(run.sampler, run.rng, n1)
+    run.draws += n1
+    return any(check_cluster(run.session, int(x), run.reps) is None for x in probe)
+
+
+def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) -> bool:
+    """Phases 2-4 of one noisy round.
+
+    Returns False when no band is heavy, which ends the doubling as in
+    run_improved; True otherwise. Raises _DrawCap when a Phase-2 batch
+    would pass the draw cap, which leaves the Phase-1 signal unconfirmed.
+    """
+    eps, k = run.config.eps, run.k
+    session = run.session
     # Phase 2: double the guess q until enough large fresh groups survive.
     q = 1
     while True:
         arg = max(1.0, math.log2((k + q) / eps))
         T = math.ceil(config.c2 * q * q * arg * arg / (eps * eps))
-        if out["draws"] + T > draw_cap:
-            out["bail"] = "draw_cap"   # cannot confirm the Phase-1 signal
-            return out
-        S = _sampling.d2_sample_batch(sampler, rng, T)
-        out["draws"] += T
+        if run.draws + T > run.config.draw_cap:
+            raise _DrawCap()
+        S = _sampling.d2_sample_batch(run.sampler, run.rng, T)
+        run.draws += T
         _, Z = find_clusters(S, session, config)
         cutoff = group_size_cutoff(T, config.min_cluster_frac)
         survivors = {gid: g for gid, g in Z.items() if len(g) >= cutoff}
         fresh: dict[int, list[int]] = {}
         for gid, g in survivors.items():
-            if check_cluster(session, g[0], recovered_reps) is None:
+            if check_cluster(session, g[0], run.reps) is None:
                 fresh[gid] = g
         if len(fresh) >= q / 2:
             break
@@ -226,10 +156,9 @@ def _noisy_round(X, session, config, eps, sampler, rng, recovered_reps,
     part = split_bands(p_hat, q=len(groups))
     W = part.heavy_clusters()
     if not W:
-        out["bail"] = "no_heavy_band"
-        return out
+        return False
     # Phase 3: reference point = minimum-weight member of each Z_j.
-    refs = {j: _sampling.reference_point(set(groups[j]), sampler) for j in W}
+    refs = {j: _sampling.reference_point(set(groups[j]), run.sampler) for j in W}
     # Phase 4: rejection sampling classified by majority vote over capped
     # representative subsets.
     cap = max(1, math.ceil(config.rep_size_cap * k_guess / eps))
@@ -242,27 +171,15 @@ def _noisy_round(X, session, config, eps, sampler, rng, recovered_reps,
         return got if got is not None else 0
 
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
-    starved: list[int] = []
-    try:
-        acc, rej_draws, _ = _sampling.rej_samp(
-            sampler, session, W=W, refs=refs, T=quota, eps=eps, rng=rng,
-            checker=checker, draw_cap=max(1, draw_cap - out["draws"]))
-        out["draws"] += rej_draws
-    except QuotaUnreachable as e:
-        out["draws"] += e.draws
-        acc = e.accepted
-        starved = list(e.unmet)
-        out["starved"] = True
+    acc, unmet = run.rej_samp(W, refs, quota, checker=checker)
     retain = max(1, math.ceil(config.retain_cap * k_guess / eps))
     for j in W:
-        pool = acc.get(j, [])
-        if j in starved or len(pool) < quota:
+        if j in unmet:
             log["skipped"].append(j)
             continue
-        cid = recovered_reps.discovered_count + 1
-        recovered_reps.reps[cid] = _capped_reps(groups[j], retain)
-        centers[cid] = X.points[np.asarray(pool)].mean(axis=0)
-        _sampling.add_center(sampler, centers[cid])
-        I.append(cid)
+        cid = run.reps.discovered_count + 1
+        run.reps.reps[cid] = _capped_reps(groups[j], retain)
+        run.commit_recovery(cid, run.X.points[np.asarray(acc[j])].mean(axis=0))
         log["recovered"].append(cid)
-    return out
+    run.stop_if_capped(unmet)
+    return True

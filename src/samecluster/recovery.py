@@ -330,9 +330,12 @@ class RunState:
         When no budget is active and a chunk discovers nothing new, the
         chunk is drawn as multinomial counts (draw order is irrelevant to
         counts, ledger sums and bitmaps); chunks with discoveries, and all
-        budgeted runs, go through the draw-ordered path.
+        budgeted runs, go through the draw-ordered path. If n would pass
+        the draw cap, only the draws up to the cap are made, then _DrawCap
+        is raised.
         """
-        remaining = n
+        room = self.config.draw_cap - self.draws
+        remaining = min(n, room)
         session = self.session
         truth = session.truth
         while remaining > 0:
@@ -355,6 +358,8 @@ class RunState:
             session.charge(int((mult * cl).sum()))
             self.ingest_counts(sampled, cl, mult)
             remaining -= b
+        if n > room:
+            raise _DrawCap()
 
     # -- recovery commit ----------------------------------------------------
 
@@ -368,11 +373,75 @@ class RunState:
         if self.target is not None and self.k >= self.target:
             raise TargetReached()
 
+    def check_cap(self):
+        """Raise _DrawCap before a draw that would pass the draw cap."""
+        if self.draws >= self.config.draw_cap:
+            raise _DrawCap()
+
     def reference_for(self, cid: int) -> int:
         idxs = np.flatnonzero(self.mask_of(cid))
         if len(idxs) == 0:
             raise ValueError(f"no sampled points recorded for cluster {cid}")
         return int(idxs[np.argmin(self.sampler.weights[idxs])])
+
+    def rej_samp(self, W, refs: dict, T, **kwargs) -> tuple[dict, list[int]]:
+        """sampling.rej_samp within the draws left under the cap.
+
+        Returns (pools, unmet). Unmet quotas mean the cap bound; the round
+        records what it completed, then calls stop_if_capped.
+        """
+        try:
+            acc, draws, _ = _sampling.rej_samp(
+                self.sampler, self.session, W=W, refs=refs, T=T,
+                eps=self.config.eps, rng=self.rng,
+                draw_cap=self.config.draw_cap - self.draws, **kwargs)
+        except QuotaUnreachable as e:
+            self.draws += e.draws
+            return e.accepted, list(e.unmet)
+        self.draws += draws
+        return acc, []
+
+    def stop_if_capped(self, unmet: list[int]):
+        """After a round's recoveries: a target reached still wins, then a
+        cap that left quotas unmet stops the run."""
+        if unmet:
+            self.check_target()
+            raise _DrawCap()
+
+    # -- round skeleton -------------------------------------------------------
+
+    def new_round(self, **extra) -> dict:
+        """Open the next round: count it, drop per-round state when samples
+        are not reused, and append its log."""
+        self.round += 1
+        if not self.config.reuse_samples:
+            self.reset_round_state()
+        log = {"round": self.round, **extra, "recovered": [], "skipped": []}
+        self.logs.append(log)
+        return log
+
+    def end_round(self, log: dict):
+        log["queries"] = self.session.ledger
+        log["samples"] = self.draws
+
+    def execute(self, algorithm: str, body, *args) -> RecoveryResult:
+        """Run body(self, *args), then finalize with the cause that ended it.
+
+        A body that returns ends the run as "terminated"; this is the one
+        place where the stop exceptions map to stop causes.
+        """
+        stop = "terminated"
+        try:
+            body(self, *args)
+        except TargetReached:
+            stop = "target"
+        except BudgetExhausted:
+            stop = "budget"
+        except _DrawCap:
+            stop = "draw_cap"
+        except _RunAborted:
+            stop = "terminated"
+        return self.finalize(algorithm, stop)
 
     # -- finalization ---------------------------------------------------------
 
@@ -390,9 +459,13 @@ class RunState:
         res.stop_reason = stop_reason
         res.starved = sorted(self.starved)
         res.incomplete = bool(self.starved) or stop_reason == "draw_cap"
-        if self.X.labels is not None and self.session.exact:
+        # Single representatives are only trusted under the exact oracle;
+        # representative sets are read by majority.
+        if self.X.labels is not None and (self.session.exact or self.reps.noisy):
             for cid in self.I:
-                lab = int(self.X.labels[self.reps.rep_point(cid)])
+                labs, n = np.unique(self.X.labels[np.asarray(self.reps.members(cid))],
+                                    return_counts=True)
+                lab = int(labs[np.argmax(n)])
                 res.truth_labels[cid] = lab
                 res.per_cluster_errors[cid] = centroid_error(
                     self.X.cluster_points(lab), self.centers[cid])
@@ -413,6 +486,7 @@ def phase1_probe(run: RunState) -> bool:
     t1 = threshold_t1(run.config.eps, run.k)
     budget_draws = math.floor(t1) + 1
     for _ in range(budget_draws):
+        run.check_cap()
         try:
             idx = _sampling.d2_sample_batch(run.sampler, run.rng, 1)
         except FullyCovered:
@@ -433,26 +507,16 @@ def run_basic(X: PointSet, session: OracleSession, config: RecoveryConfig,
     reference point, rejection-sample its quota, recover its centroid."""
     run = RunState(X, session, config, target)
     run.track_sums = False
-    stop = "terminated"
-    try:
-        while True:
-            run.round += 1
-            if not config.reuse_samples:
-                run.reset_round_state()
-            log = {"round": run.round, "recovered": [], "skipped": []}
-            run.logs.append(log)
-            if not phase1_probe(run):
-                break
-            _basic_round(run, log)
-            log["queries"] = run.session.ledger
-            log["samples"] = run.draws
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    except _RunAborted:
-        stop = "terminated"
-    return run.finalize("basic", stop)
+    return run.execute("basic", _basic_rounds)
+
+
+def _basic_rounds(run: RunState):
+    while True:
+        log = run.new_round()
+        if not phase1_probe(run):
+            return
+        _basic_round(run, log)
+        run.end_round(log)
 
 
 def _basic_round(run: RunState, log: dict):
@@ -483,20 +547,12 @@ def _basic_round(run: RunState, log: dict):
     # Phase 4: rejection-sample the quota and recover the centroid.
     t3 = max(1, math.ceil(basic_t3(eps, run.round)))
     pool = run.accepted.get(j, []) if run.config.reuse_samples else []
-    try:
-        acc, draws, _ = _sampling.rej_samp(
-            run.sampler, run.session, W=[j], refs={j: ref}, T={j: t3},
-            eps=eps, rng=run.rng, reps=run.reps,
-            draw_cap=run.config.draw_cap - run.draws,
-            preaccepted={j: pool})
-    except QuotaUnreachable as e:
-        run.draws += e.draws
+    acc, unmet = run.rej_samp([j], {j: ref}, {j: t3}, reps=run.reps,
+                              preaccepted={j: pool})
+    if unmet:
         run.starved.add(j)
         log["skipped"].append(j)
-        if run.config.reuse_samples and e.accepted.get(j):
-            run.accepted[j] = e.accepted[j]
-        return
-    run.draws += draws
+        run.stop_if_capped(unmet)
     run.accepted[j] = acc[j]
     run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
     log["recovered"].append(j)
@@ -511,37 +567,35 @@ def run_improved(X: PointSet, session: OracleSession, config: RecoveryConfig,
     """Band-splitting algorithm with K-doubling; recovers whole heavy bands."""
     run = RunState(X, session, config, target)
     run.track_sums = False
-    stop = "terminated"
-    try:
-        k_guess = 1
+    return run.execute("improved", k_doubling, phase1_probe, _improved_round)
+
+
+def k_doubling(run: RunState, probe, round_):
+    """Rounds under a doubling guess of the cluster count.
+
+    probe(run) reports whether unrecovered mass was found; while it was
+    and fewer than K_guess clusters are recovered, round_(run, K_guess,
+    log) runs and reports whether unrecovered mass remains. The guess
+    doubles when a round leaves mass behind at K_guess recoveries; the
+    run ends when none remains within the guess.
+    """
+    k_guess = 1
+    while True:
         while True:
-            while True:
-                run.round += 1
-                if not config.reuse_samples:
-                    run.reset_round_state()
-                log = {"round": run.round, "K_guess": k_guess,
-                       "recovered": [], "skipped": []}
-                run.logs.append(log)
-                discovered = phase1_probe(run)
-                if discovered and run.k < k_guess:
-                    _improved_round(run, k_guess, log)
-                log["queries"] = run.session.ledger
-                log["samples"] = run.draws
-                if not run.Q() or run.k >= k_guess:
-                    break
-            if not run.Q() and run.k <= k_guess:
+            log = run.new_round(K_guess=k_guess)
+            more = probe(run)
+            if more and run.k < k_guess:
+                more = round_(run, k_guess, log)
+                run.check_target()
+            run.end_round(log)
+            if not more or run.k >= k_guess:
                 break
-            k_guess *= 2
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    except _RunAborted:
-        stop = "terminated"
-    return run.finalize("improved", stop)
+        if not more and run.k <= k_guess:
+            return
+        k_guess *= 2
 
 
-def _improved_round(run: RunState, k_guess: int, log: dict):
+def _improved_round(run: RunState, k_guess: int, log: dict) -> bool:
     eps, k = run.config.eps, run.k
     W, q_frozen = _improved_phase2(run)
     if not W:
@@ -556,28 +610,19 @@ def _improved_round(run: RunState, k_guess: int, log: dict):
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
     pools = {j: (run.accepted.get(j, []) if run.config.reuse_samples else [])
              for j in W}
-    starved_now: list[int] = []
-    try:
-        acc, draws, _ = _sampling.rej_samp(
-            run.sampler, run.session, W=W, refs=refs,
-            T={j: quota for j in W}, eps=eps, rng=run.rng, reps=run.reps,
-            draw_cap=max(1, run.config.draw_cap - run.draws),
-            preaccepted=pools)
-        run.draws += draws
-    except QuotaUnreachable as e:
-        run.draws += e.draws
-        acc = e.accepted
-        starved_now = list(e.unmet)
+    acc, unmet = run.rej_samp(W, refs, {j: quota for j in W}, reps=run.reps,
+                              preaccepted=pools)
     for j in W:
         pool = acc.get(j, [])
         run.accepted[j] = pool
-        if j in starved_now or len(pool) < quota:
+        if j in unmet:
             run.starved.add(j)
             log["skipped"].append(j)
             continue
         run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
         log["recovered"].append(j)
-    run.check_target()
+    run.stop_if_capped(unmet)
+    return bool(run.Q())
 
 
 def _improved_phase2(run: RunState) -> tuple[list[int], int]:
@@ -602,17 +647,22 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
 
     Only the prefix through the stop draw is charged, registered and
     ingested. The budget stops the run on the draw where a draw-at-a-time
-    run would, since that run checks the budget before the stop rule.
-    TestPhase2Reference in tests/test_recovery.py holds the draw-at-a-time
-    reference this must match.
+    run would, since that run checks the budget before the stop rule; the
+    draw cap likewise commits the draws up to the cap, then raises
+    _DrawCap. TestPhase2Reference in tests/test_recovery.py holds the
+    draw-at-a-time reference this must match.
     """
     session = run.session
     while True:
+        run.check_cap()
         idx = _sampling.d2_sample_batch(run.sampler, run.rng, _PHASE_CHUNK)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, run.reps)
         stop = _phase2_stop(run, cl, new_firsts)
         upto = len(idx) if stop is None else stop + 1
-        run.commit_peeked(idx, cl, costs, new_firsts, upto)
+        cut = min(upto, run.config.draw_cap - run.draws)
+        run.commit_peeked(idx, cl, costs, new_firsts, cut)
+        if cut < upto:
+            raise _DrawCap()
         if stop is not None:
             break
     Q = np.asarray(run.Q(), dtype=np.int64)
@@ -735,18 +785,13 @@ class _ExpEngine:
 
     Every D2-draw is classified (by increasing distance to running
     sample-mean centers, the query-saving order the experiments use), then
-    offered to its own cluster's acceptance test against the cluster's
-    current minimum-weight sampled point, building per-cluster pools of
-    uniform samples as sampling proceeds.
+    offered to its own cluster's acceptance test, min(1, w(ref) / w(x))
+    against the cluster's current minimum-weight sampled point, building
+    per-cluster pools of uniform samples as sampling proceeds.
     """
 
-    def __init__(self, run: RunState, accept_scale: float = 1.0,
-                 accept_gate=None):
+    def __init__(self, run: RunState):
         self.run = run
-        self.scale = accept_scale
-        # Limits which cluster may bank an accepted draw; the one-at-a-time
-        # variant gates on its current target, the batch variant on nothing.
-        self.accept_gate = accept_gate
         self.refs: dict[int, int] = {}
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
@@ -792,11 +837,10 @@ class _ExpEngine:
             w = run.sampler.weights
             if ref is None or w[x] < w[ref] or (w[x] == w[ref] and x < ref):
                 self.refs[cid] = ref = x
-            if self.accept_gate is None or self.accept_gate(cid):
-                wx = float(w[x])
-                p = 1.0 if wx <= 0.0 else min(1.0, self.scale * float(w[ref]) / wx)
-                if run.rng.random() < p:
-                    run.accepted.setdefault(cid, []).append(x)
+            wx = float(w[x])
+            p = 1.0 if wx <= 0.0 else min(1.0, float(w[ref]) / wx)
+            if run.rng.random() < p:
+                run.accepted.setdefault(cid, []).append(x)
         return cid
 
 
@@ -807,8 +851,7 @@ def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
     t1 = threshold_t1(run.config.eps, run.k)
     seen_new = False
     for _ in range(math.floor(t1) + 1):
-        if run.draws >= run.config.draw_cap:
-            raise _DrawCap()
+        run.check_cap()
         try:
             cid = engine.step()
         except FullyCovered:
@@ -818,49 +861,60 @@ def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
     return seen_new
 
 
+def _experiment_rounds(run: RunState, pick):
+    """Rounds of the experiment-style variants: probe, draw until
+    pick(run) names the clusters to recover, recover each from the first
+    h+1 samples of its uniform pool."""
+    engine = _ExpEngine(run)
+    h = run.config.heavy_threshold
+    while True:
+        log = run.new_round()
+        if not run.config.reuse_samples:
+            engine.refs.clear()
+        if not _phase1_probe_engine(run, engine):
+            return
+        while not (ready := pick(run)):
+            run.check_cap()
+            engine.step()
+        for j in ready:
+            pool = run.accepted[j][:h + 1]
+            run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
+            log["recovered"].append(j)
+        run.end_round(log)
+        run.check_target()
+
+
+def _heavy(run: RunState, Q: list[int]) -> list[int]:
+    """Clusters of Q, in index order, whose uniform pool holds strictly
+    more than heavy_threshold samples."""
+    h = run.config.heavy_threshold
+    return [cid for cid in Q if len(run.accepted.get(cid, ())) > h]
+
+
+def _pick_first(run: RunState) -> list[int]:
+    return _heavy(run, run.Q())[:1]
+
+
+def _pick_heavy_mass(run: RunState) -> list[int]:
+    """All heavy clusters, once they hold over half the raw sample mass of Q."""
+    Q = run.Q()
+    heavy = _heavy(run, Q)
+    if heavy:
+        cnt = run.counts
+        hsum = int(sum(cnt[c - 1] for c in heavy))
+        tot = int(sum(cnt[c - 1] for c in Q))
+        if 2 * hsum > tot:
+            return heavy
+    return []
+
+
 def run_basic_simplified(X: PointSet, session: OracleSession, config: RecoveryConfig,
                          target: int | None = None) -> RecoveryResult:
     """Experiment-style Basic: one cluster per round, recovered as soon as
     its uniform (acceptance-thinned) pool reaches heavy_threshold. Every
     round pays the full Phase-1 probe before sampling toward a recovery."""
     run = RunState(X, session, config, target)
-    engine = _ExpEngine(run)
-    h = config.heavy_threshold
-    stop = "terminated"
-    try:
-        while True:
-            run.round += 1
-            if not config.reuse_samples:
-                run.reset_round_state()
-                engine.refs.clear()
-            log = {"round": run.round, "recovered": [], "skipped": []}
-            run.logs.append(log)
-            if not _phase1_probe_engine(run, engine):
-                break
-            # Heavy = strictly more than the threshold's worth of uniform
-            # samples; the center comes from exactly those h+1 samples.
-            while True:
-                ready = [cid for cid in run.Q()
-                         if len(run.accepted.get(cid, ())) > h]
-                if ready:
-                    break
-                if run.draws >= config.draw_cap:
-                    raise _DrawCap()
-                engine.step()
-            j = min(ready)
-            pool = run.accepted[j][:h + 1]
-            run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
-            log["recovered"].append(j)
-            log["queries"] = run.session.ledger
-            log["samples"] = run.draws
-            run.check_target()
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    except _DrawCap:
-        stop = "draw_cap"
-    return _finalize_exp(run, "basic_simplified", stop)
+    return run.execute("basic_simplified", _experiment_rounds, _pick_first)
 
 
 def run_improved_simplified(X: PointSet, session: OracleSession, config: RecoveryConfig,
@@ -868,57 +922,7 @@ def run_improved_simplified(X: PointSet, session: OracleSession, config: Recover
     """Experiment-style Improved: sample until over half the unrecovered
     sample mass sits in heavy clusters, then recover all of them at once."""
     run = RunState(X, session, config, target)
-    engine = _ExpEngine(run)
-    h = config.heavy_threshold
-    stop = "terminated"
-    try:
-        while True:
-            run.round += 1
-            if not config.reuse_samples:
-                run.reset_round_state()
-                engine.refs.clear()
-            log = {"round": run.round, "recovered": [], "skipped": []}
-            run.logs.append(log)
-            if not _phase1_probe_engine(run, engine):
-                break
-            # Heavy = strictly more than the threshold's worth of uniform
-            # samples; trigger when over half of the unrecovered raw sample
-            # mass sits in heavy clusters.
-            while True:
-                Q = run.Q()
-                if Q:
-                    cnt = run.counts
-                    heavy = [cid for cid in Q
-                             if len(run.accepted.get(cid, ())) > h]
-                    if heavy:
-                        hsum = int(sum(cnt[c - 1] for c in heavy))
-                        tot = int(sum(cnt[c - 1] for c in Q))
-                        if 2 * hsum > tot:
-                            break
-                if run.draws >= config.draw_cap:
-                    raise _DrawCap()
-                engine.step()
-            for j in sorted(heavy):
-                pool = run.accepted[j][:h + 1]
-                run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
-                log["recovered"].append(j)
-            log["queries"] = run.session.ledger
-            log["samples"] = run.draws
-            run.check_target()
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    except _DrawCap:
-        stop = "draw_cap"
-    return _finalize_exp(run, "improved_simplified", stop)
-
-
-def _finalize_exp(run: RunState, name: str, stop: str) -> RecoveryResult:
-    res = run.finalize(name, stop)
-    if stop == "draw_cap":
-        res.incomplete = True
-    return res
+    return run.execute("improved_simplified", _experiment_rounds, _pick_heavy_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -931,41 +935,34 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
     or the draw cap."""
     if session.budget is None and target is None:
         raise ValueError("run_uniform needs a query budget or a recovery target")
-    run = RunState(X, session, config, target)
-    h = config.heavy_threshold
-    n = len(X)
+    return RunState(X, session, config, target).execute("uniform", _uniform_draws)
+
+
+def _uniform_draws(run: RunState):
+    h = run.config.heavy_threshold
+    n = len(run.X)
     pending: dict[int, list[int]] = {}
-    stop = "terminated"
-    try:
-        while True:
-            if run.draws >= config.draw_cap:
-                stop = "draw_cap"
-                break
-            B = int(min(4096, config.draw_cap - run.draws))
-            idx = run.rng.integers(0, n, size=B)
-            cl, costs, new_firsts = _oracle.peek_classify(run.session, idx, run.reps)
-            cut, events = _uniform_scan(run, cl, h, pending)
-            try:
-                run.commit_peeked(idx, cl, costs, new_firsts, cut)
-            except BudgetExhausted as e:
-                cut = e.done
-                raise
-            finally:
-                # Recover what the committed draws complete, budget or not.
-                for p in range(cut):
-                    pending.setdefault(int(cl[p]), []).append(int(idx[p]))
-                for p, cid in events:
-                    if p < cut:
-                        first = run.X.points[np.asarray(pending[cid][:h + 1])]
-                        run.commit_recovery(cid, first.mean(axis=0))
-            if run.target is not None and run.k >= run.target:
-                raise TargetReached()
-    except TargetReached:
-        stop = "target"
-    except BudgetExhausted:
-        stop = "budget"
-    run.round = run.k  # one recovery per "round" for reporting
-    return run.finalize("uniform", stop)
+    while True:
+        run.check_cap()
+        B = int(min(4096, run.config.draw_cap - run.draws))
+        idx = run.rng.integers(0, n, size=B)
+        cl, costs, new_firsts = _oracle.peek_classify(run.session, idx, run.reps)
+        cut, events = _uniform_scan(run, cl, h, pending)
+        try:
+            run.commit_peeked(idx, cl, costs, new_firsts, cut)
+        except BudgetExhausted as e:
+            cut = e.done
+            raise
+        finally:
+            # Recover what the committed draws complete, budget or not.
+            for p in range(cut):
+                pending.setdefault(int(cl[p]), []).append(int(idx[p]))
+            for p, cid in events:
+                if p < cut:
+                    first = run.X.points[np.asarray(pending[cid][:h + 1])]
+                    run.commit_recovery(cid, first.mean(axis=0))
+            run.round = run.k  # one recovery per "round" for reporting
+        run.check_target()
 
 
 def _uniform_scan(run: RunState, cl: np.ndarray, h: int,

@@ -146,3 +146,13 @@ class TestRunNoisy:
         assert res.K_recovered == 0
         assert res.stop_reason == "draw_cap"
         assert res.incomplete is True
+
+    def test_draw_cap_never_passed(self):
+        # The Phase-1 probe alone is 37 draws: a batch that would pass the
+        # cap is not drawn.
+        ps, _ = load(DatasetSpec(DATA / "three_blobs.csv", normalize=False))
+        sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=1)
+        res = run_noisy(ps, sess, NoisyConfig(p=0.1), eps=0.5, seed=2, draw_cap=5)
+        assert res.samples_total <= 5
+        assert res.stop_reason == "draw_cap"
+        assert res.incomplete is True

@@ -1,12 +1,14 @@
 import copy
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from samecluster import recovery
 from samecluster import sampling
+from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
 from samecluster.oracle import BudgetExhausted, OracleSession, classify
 from samecluster.recovery import (
@@ -28,6 +30,8 @@ from samecluster.recovery import (
     threshold_t1,
 )
 from samecluster.synthgen import SynthConfig, generate
+
+DATA = Path(__file__).parent / "data"
 
 
 def blobs(centers, sizes, sigma, seed=0):
@@ -653,6 +657,43 @@ class TestDeterminism:
         a = run_uniform(ps, OracleSession(ps.labels), cfg, target=4)
         b = run_uniform(ps, OracleSession(ps.labels), cfg, target=4)
         assert a.to_payload() == b.to_payload()
+
+
+class TestDrawCap:
+    """No run draws more than draw_cap samples, and a cap that stops a run
+    reports "draw_cap" with incomplete=True."""
+
+    @pytest.mark.parametrize("runner", [run_basic, run_improved])
+    def test_theory_phases_stop_at_cap(self, runner):
+        # Uncapped, Improved's first Phase 2 alone takes about 11M draws
+        # here, and Basic's fills and top-ups pass 1M.
+        X, _ = load(DatasetSpec(DATA / "shuttle_like.csv"))
+        cfg = RecoveryConfig(eps=1.0, seed=7, draw_cap=10 ** 6)
+        res = runner(X, OracleSession(X.labels), cfg)
+        assert res.samples_total <= 10 ** 6
+        assert res.stop_reason == "draw_cap"
+        assert res.incomplete is True
+
+    @pytest.mark.parametrize("runner", [
+        run_basic, run_improved, run_basic_simplified, run_improved_simplified,
+        run_uniform,
+    ])
+    def test_caps_below_the_run(self, runner):
+        ps = well_separated(sizes=(500, 350, 250))
+        cfg = RecoveryConfig(eps=1.0, seed=3, draw_cap=10 ** 9)
+        full = runner(ps, OracleSession(ps.labels), cfg, target=3)
+        assert full.stop_reason == "target"
+        # rej_samp sizes its batches by the draws left under the cap, so a
+        # cap just short of the full run may take another path; it must
+        # still hold.
+        cap = full.samples_total - 1
+        cfg.draw_cap = cap
+        assert runner(ps, OracleSession(ps.labels), cfg, target=3).samples_total <= cap
+        for cap in (0, 1, 5, full.samples_total // 2):
+            cfg.draw_cap = cap
+            res = runner(ps, OracleSession(ps.labels), cfg, target=3)
+            assert res.samples_total <= cap, cap
+            assert (res.stop_reason, res.incomplete) == ("draw_cap", True), cap
 
 
 class TestReuseModes:
