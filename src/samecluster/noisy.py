@@ -63,25 +63,52 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
     """
     cap = 2 * config.rep_size_cap
     groups: list[list[int]] = []
-    distinct: list[dict] = []      # insertion-ordered distinct members per group
+    heads: list[list[int]] = []    # first `cap` distinct members per group, in order
     for x in samples:
         x = int(x)
         placed = False
-        for g, dd in zip(groups, distinct):
-            queried = list(dd)[:cap]
-            agree = sum(1 for z in queried if session.same_cluster(x, z))
-            if 2 * agree > len(queried):
+        for g, head in zip(groups, heads):
+            agree = sum(1 for z in head if session.same_cluster(x, z))
+            if 2 * agree > len(head):
                 g.append(x)
-                dd.setdefault(x, None)
+                if len(head) < cap and x not in head:
+                    head.append(x)
                 placed = True
                 break
         if not placed:
             groups.append([x])
-            distinct.append({x: None})
-    cutoff = group_size_cutoff(len(list(samples)), config.min_cluster_frac)
+            heads.append([x])
+    cutoff = group_size_cutoff(len(samples), config.min_cluster_frac)
     survivors = [g for g in groups if len(g) >= cutoff]
     Z = {i + 1: g for i, g in enumerate(survivors)}
     return list(Z), Z
+
+
+def _pass_checker(session: OracleSession, w_reps: Representatives):
+    """check_cluster against w_reps for one rejection pass, majority-voted
+    once per distinct point and charged on every call.
+
+    The first check of x runs check_cluster, which asks its pairs and draws
+    any new flips. Every pair it asked is then fixed (cached, x == z, or an
+    exact answer), so a repeat check would ask the same pairs, get the same
+    answers and charge the same count: a repeat charges that count through
+    session.charge and returns the stored verdict. w_reps must not change
+    while the checker is in use.
+    """
+    verdicts: dict[int, tuple[int, int]] = {}
+
+    def checker(x: int) -> int:
+        hit = verdicts.get(x)
+        if hit is not None:
+            session.charge(hit[1])
+            return hit[0]
+        before = session.ledger
+        got = check_cluster(session, x, w_reps)
+        j = got if got is not None else 0
+        verdicts[x] = (j, session.ledger - before)
+        return j
+
+    return checker
 
 
 def _capped_reps(members, cap: int) -> list[int]:
@@ -141,10 +168,8 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
         S = _sampling.d2_sample_batch(run.sampler, run.rng, T)
         run.draws += T
         _, Z = find_clusters(S, session, config)
-        cutoff = group_size_cutoff(T, config.min_cluster_frac)
-        survivors = {gid: g for gid, g in Z.items() if len(g) >= cutoff}
         fresh: dict[int, list[int]] = {}
-        for gid, g in survivors.items():
+        for gid, g in Z.items():
             if check_cluster(session, g[0], run.reps) is None:
                 fresh[gid] = g
         if len(fresh) >= q / 2:
@@ -166,12 +191,8 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     for j in W:
         w_reps.reps[j] = _capped_reps(groups[j], cap)
 
-    def checker(x: int) -> int:
-        got = check_cluster(session, x, w_reps)
-        return got if got is not None else 0
-
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
-    acc, unmet = run.rej_samp(W, refs, quota, checker=checker)
+    acc, unmet = run.rej_samp(W, refs, quota, checker=_pass_checker(session, w_reps))
     retain = max(1, math.ceil(config.retain_cap * k_guess / eps))
     for j in W:
         if j in unmet:

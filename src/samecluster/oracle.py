@@ -32,9 +32,9 @@ class OracleSession:
 
     error_prob = 0 gives the exact oracle. Noisy answers are generated
     lazily per unordered pair and cached, so repeating a query returns the
-    same answer. An optional budget caps the ledger: a call that would
-    push the ledger past the budget raises BudgetExhausted instead of
-    answering.
+    same answer and draws no flip; it is still charged to the ledger. An
+    optional budget caps the ledger: a call that would push the ledger
+    past the budget raises BudgetExhausted instead of answering.
     """
 
     def __init__(self, truth, error_prob: float = 0.0, rng_seed: int = 0,
@@ -270,6 +270,11 @@ def check_cluster(session: OracleSession, x: int, reps: Representatives,
     strictly more than half of the answers are true. Ties reject. Returns
     None when no cluster wins a majority. early_exit stops a cluster's
     scan once ceil(|Z_i|/2) + 1 agreeing answers make the majority certain.
+
+    The scan is deterministic, so once every pair it asks has an answer
+    fixed in the session (cached, x == z, or exact), the verdict and the
+    number of queries it charges are a pure function of those answers:
+    a repeated check returns the same result at the same cost.
     """
     candidates = sorted(restrict) if restrict is not None else sorted(reps.reps)
     for i in candidates:

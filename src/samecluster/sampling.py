@@ -140,7 +140,7 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
     queries0 = session.ledger
     if checker is not None:
-        draws = _rej_samp_scalar(state, W, ref_w, scale, need, accepted,
+        draws = _rej_samp_scalar(state, W, ref_w, scale, quota, accepted,
                                  rng=rng, checker=checker, draw_cap=draw_cap)
         return accepted, draws, session.ledger - queries0
 
@@ -250,22 +250,45 @@ def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
     return B, None
 
 
-def _rej_samp_scalar(state, W, ref_w, scale, need, accepted, *, rng, checker, draw_cap):
-    """Draw-at-a-time rejection loop for checker-based (noisy) classification."""
+def _rej_samp_scalar(state, W, ref_w, scale, quota, accepted, *, rng, checker, draw_cap):
+    """Draw-at-a-time rejection loop for checker-based (noisy) classification.
+
+    Each draw is the scalar form of d2_sample_batch(state, rng, 1)[0] and
+    each W-classified draw is followed by its acceptance coin, so the RNG
+    stream is that of single batched draws with interleaved coins. The
+    weights do not change during the loop, and unmet quotas are counted
+    down as draws are accepted.
+    """
+    left = {j: quota[j] - len(accepted[j]) for j in W}
+    unmet = sum(1 for v in left.values() if v > 0)
+    n = state.n_points
+    weights = state.weights
+    uniform = not state.has_centers
+    if not uniform:
+        cs = state.cumsum()
+        top = float(cs[-1])
     draws = 0
-    while any(v > 0 for v in need().values()):
+    while unmet:
         if draws >= draw_cap:
-            unmet = [j for j, v in need().items() if v > 0]
+            missing = [j for j in W if left[j] > 0]
             raise QuotaUnreachable(
-                f"draw cap {draw_cap} reached with quotas unmet for {unmet}",
-                accepted=accepted, unmet=unmet, draws=draws)
-        x = int(d2_sample_batch(state, rng, 1)[0])
+                f"draw cap {draw_cap} reached with quotas unmet for {missing}",
+                accepted=accepted, unmet=missing, draws=draws)
+        if uniform:
+            x = int(rng.integers(0, n))
+        elif state.total <= 0.0:
+            raise FullyCovered("all points coincide with the current centers")
+        else:
+            x = min(int(cs.searchsorted(rng.random() * top, side="right")), n - 1)
         draws += 1
-        j = int(checker(x))
+        j = checker(x)
         if j not in ref_w:
             continue
-        wx = float(state.weights[x])
+        wx = float(weights[x])
         p = 1.0 if wx <= 0.0 else min(1.0, scale * ref_w[j] / wx)
         if rng.random() < p:
             accepted[j].append(x)
+            left[j] -= 1
+            if left[j] == 0:
+                unmet -= 1
     return draws

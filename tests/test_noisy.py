@@ -3,11 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from samecluster import noisy, sampling
 from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
 from samecluster.noisy import NoisyConfig, find_clusters, group_size_cutoff, run_noisy
-from samecluster.oracle import OracleSession
+from samecluster.oracle import BudgetExhausted, OracleSession, Representatives, check_cluster
 from samecluster.recovery import RecoveryConfig, run_improved
+from samecluster.sampling import QuotaUnreachable, SamplerState, add_center
 
 
 DATA = Path(__file__).parent / "data"
@@ -156,3 +158,177 @@ class TestRunNoisy:
         assert res.samples_total <= 5
         assert res.stop_reason == "draw_cap"
         assert res.incomplete is True
+
+
+def rej_samp_scalar_reference(state, W, ref_w, scale, quota, accepted, *, rng, checker, draw_cap):
+    """The checker rejection loop, one draw at a time.
+
+    A single batched D2 draw, a checker call and, for a W-classified draw,
+    an acceptance coin per draw; the unmet quotas are recomputed every
+    draw. Same signature as sampling._rej_samp_scalar, which must match it.
+    """
+    def need():
+        return {j: quota[j] - len(accepted[j]) for j in W}
+
+    draws = 0
+    while any(v > 0 for v in need().values()):
+        if draws >= draw_cap:
+            unmet = [j for j, v in need().items() if v > 0]
+            raise QuotaUnreachable(
+                f"draw cap {draw_cap} reached with quotas unmet for {unmet}",
+                accepted=accepted, unmet=unmet, draws=draws)
+        x = int(sampling.d2_sample_batch(state, rng, 1)[0])
+        draws += 1
+        j = int(checker(x))
+        if j not in ref_w:
+            continue
+        wx = float(state.weights[x])
+        p = 1.0 if wx <= 0.0 else min(1.0, scale * ref_w[j] / wx)
+        if rng.random() < p:
+            accepted[j].append(x)
+    return draws
+
+
+def plain_checker(session, w_reps):
+    """check_cluster on every call: no verdict is remembered."""
+    return lambda x: check_cluster(session, x, w_reps) or 0
+
+
+def _rej_fixtures():
+    """Random small blob sets, each with two rejection passes over different
+    representative sets: the first before any center (uniform draws), the
+    second after one (D2 draws), with an over-filled preaccepted pool."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(3, 6))
+        sizes = rng.integers(15, 60, size=K)
+        centers = rng.uniform(-6, 6, size=(K, 2))
+        pts = np.vstack([rng.normal(c, 0.6, size=(m, 2)) for c, m in zip(centers, sizes)])
+        labels = np.repeat(np.arange(1, K + 1), sizes)
+        passes = []
+        for centered in (False, True):
+            order = rng.permutation(np.arange(1, K + 1))
+            # The center sits on a cluster outside W, as a recovered one would.
+            center = pts[labels == order[-1]].mean(axis=0) if centered else None
+            weights = ((pts - center) ** 2).sum(axis=1) if centered else np.ones(len(pts))
+            members, refs = {}, {}
+            for j, lab in enumerate(order[:2], start=1):
+                own = np.flatnonzero(labels == lab)
+                # Duplicates and one impostor, as grouping under noise leaves them.
+                m = rng.choice(own, size=int(rng.integers(2, 7))).tolist()
+                m.insert(int(rng.integers(0, len(m))), int(rng.integers(0, len(labels))))
+                members[j], refs[j] = m, int(own[np.argmin(weights[own])])
+            W = sorted(members)
+            passes.append(dict(
+                W=W, refs=refs, members=members,
+                T={j: int(rng.integers(2, 7)) for j in W},
+                center=center,
+                preaccepted={W[0]: [refs[W[0]]] * 8} if centered else None))
+        yield seed, labels, pts, passes
+
+
+def _run_passes(monkeypatch, fixture, p, reference, budget=None, cap=10 ** 6, trace=None):
+    """Run a fixture's passes on one session and sampler, in order.
+
+    Returns every pass outcome, then the ledger, the answer cache and both
+    RNG states. trace, when a list, receives (pass, point, ledger before,
+    ledger after) for every checker call.
+    """
+    seed, labels, pts, passes = fixture
+    session = OracleSession(labels, error_prob=p, rng_seed=seed + 7, budget=budget)
+    state = SamplerState(pts)
+    rng = np.random.default_rng(seed + 11)
+    outcomes = []
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(sampling, "_rej_samp_scalar", rej_samp_scalar_reference)
+        make_checker = plain_checker if reference else noisy._pass_checker
+        try:
+            for k, spec in enumerate(passes):
+                if spec["center"] is not None:
+                    add_center(state, spec["center"])
+                w_reps = Representatives(noisy=True)
+                w_reps.reps = {j: list(v) for j, v in spec["members"].items()}
+                checker = make_checker(session, w_reps)
+                if trace is not None:
+                    checker = _traced(checker, session, trace, k)
+                try:
+                    acc, draws, queries = sampling.rej_samp(
+                        state, session, spec["W"], spec["refs"], spec["T"], 1.0,
+                        rng=rng, checker=checker, accept_scale=0.1, draw_cap=cap,
+                        preaccepted=spec["preaccepted"])
+                    outcomes.append(("done", acc, draws, queries))
+                except QuotaUnreachable as e:
+                    outcomes.append(("cap", e.accepted, e.unmet, e.draws))
+        except BudgetExhausted:
+            outcomes.append("budget")
+    return (outcomes, session.ledger, dict(session.answer_cache),
+            session._rng.bit_generator.state, rng.bit_generator.state)
+
+
+def _traced(checker, session, trace, k):
+    def call(x):
+        before = session.ledger
+        j = checker(x)
+        trace.append((k, x, before, session.ledger))
+        return j
+    return call
+
+
+class TestNoisyRejReference:
+    def test_matches_draw_at_a_time(self, monkeypatch):
+        cases = {"first visit": 0, "memo hit": 0, "exact fit": 0, "cap": 0}
+        for fixture in _rej_fixtures():
+            for p in (0.0, 0.1, 0.3):
+                trace = []
+                want = _run_passes(monkeypatch, fixture, p, True, trace=trace)
+                assert _run_passes(monkeypatch, fixture, p, False) == want
+                assert all(o[0] == "done" for o in want[0])
+                # Budgets that run out inside a first check of a point, on
+                # a repeat check of one, and one that fits exactly.
+                seen, first, hits = set(), [], []
+                for k, x, before, after in trace:
+                    (hits if (k, x) in seen else first).append((before, after))
+                    seen.add((k, x))
+                assert len(first) > 2 and len(hits) > 2
+                budgets = {"first visit": first[len(first) // 2][0] + 1,
+                           "memo hit": hits[len(hits) // 2][1] - 1,
+                           "exact fit": want[1]}
+                for case, budget in budgets.items():
+                    got = _run_passes(monkeypatch, fixture, p, False, budget=budget)
+                    assert got == _run_passes(monkeypatch, fixture, p, True, budget=budget), case
+                    assert (got[0][-1] == "budget") == (case != "exact fit"), case
+                    assert got[1] == budget
+                    cases[case] += 1
+                # Draw caps: none allowed, one, and one that ends the first
+                # pass midway.
+                for cap in (0, 1, want[0][0][2] // 2):
+                    got = _run_passes(monkeypatch, fixture, p, False, cap=cap)
+                    assert got == _run_passes(monkeypatch, fixture, p, True, cap=cap), cap
+                    assert got[0][0][0] == "cap"
+                    cases["cap"] += 1
+        assert min(cases.values()) > 0
+
+    def test_whole_run_matches_reference(self, monkeypatch):
+        ps = three_blobs(size=60)
+
+        def run(budget, cap, reference):
+            sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=3, budget=budget)
+            with monkeypatch.context() as m:
+                if reference:
+                    m.setattr(sampling, "_rej_samp_scalar", rej_samp_scalar_reference)
+                    m.setattr(noisy, "_pass_checker", plain_checker)
+                res = run_noisy(ps, sess, NoisyConfig(p=0.1), eps=1.0, seed=4,
+                                draw_cap=cap, target=3)
+            return (res.to_payload(), sess.ledger, dict(sess.answer_cache),
+                    sess._rng.bit_generator.state)
+
+        full = run(None, 10 ** 6, True)
+        assert full[0]["K_recovered"] == 3
+        L, draws = full[0]["queries_total"], full[0]["samples_total"]
+        assert run(None, 10 ** 6, False) == full
+        # The cap binds one draw before the last rejection draw.
+        for budget, cap, stop in ((L // 2, 10 ** 6, "budget"), (None, draws - 1, "draw_cap")):
+            got = run(budget, cap, False)
+            assert got == run(budget, cap, True)
+            assert got[0]["stop_reason"] == stop

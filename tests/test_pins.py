@@ -3,8 +3,13 @@
 A refactor that keeps the algorithms keeps these values for fixed seeds;
 a change to any of them is a change to a run's trajectory and must be
 stated as one. Float fields (centers, errors) are left out because their
-last bits can differ between CPUs.
+last bits can differ between CPUs. Noisy runs also pin the noise state they
+leave behind: the number of cached answers and a digest of the flip RNG, so
+a change that draws other flips shows even where the ledger does not move.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,13 +38,18 @@ def three_blobs() -> PointSet:
 
 def _exact(runner, target=None):
     cfg = RecoveryConfig(eps=1.0, seed=1)
-    return lambda X, budget: runner(X, OracleSession(X.labels, budget=budget), cfg, target)
+
+    def run(X, budget):
+        session = OracleSession(X.labels, budget=budget)
+        return runner(X, session, cfg, target), session
+    return run
 
 
 def _noisy(p):
-    return lambda X, budget: run_noisy(
-        X, OracleSession(X.labels, error_prob=p, rng_seed=1, budget=budget),
-        NoisyConfig(p=p), 1.0, seed=2, draw_cap=10 ** 5)
+    def run(X, budget):
+        session = OracleSession(X.labels, error_prob=p, rng_seed=1, budget=budget)
+        return run_noisy(X, session, NoisyConfig(p=p), 1.0, seed=2, draw_cap=10 ** 5), session
+    return run
 
 
 RUNS = {
@@ -162,7 +172,31 @@ PINS = {
             {"round": 2, "K_guess": 2, "recovered": [], "skipped": [], "queries": 146103, "samples": 10763},
             {"round": 3, "K_guess": 4, "recovered": [], "skipped": []},
         ]),
+    # Every cluster is recovered by round 3; a noisy probe miss then sends
+    # round 4 into Phase 2, whose q doubling runs into the draw cap.
+    ("noisy_p0.1", None): dict(
+        queries_total=1166409, samples_total=45476, rounds_total=4,
+        I=[1, 2, 3], reps={1: 13, 2: 252, 3: 337}, K_recovered=3,
+        stop_reason="draw_cap", incomplete=True,
+        per_round=[
+            {"round": 1, "K_guess": 1, "recovered": [1, 2], "skipped": [], "queries": 146087, "samples": 10735},
+            {"round": 2, "K_guess": 2, "recovered": [], "skipped": [], "queries": 146103, "samples": 10763},
+            {"round": 3, "K_guess": 4, "recovered": [3], "skipped": [], "queries": 764514, "samples": 30763},
+            {"round": 4, "K_guess": 4, "recovered": [], "skipped": []},
+        ]),
 }
+
+# (len(session.answer_cache), digest of the session's flip RNG state)
+NOISE = {
+    ("noisy_p0", None): (0, "7e62aff6a05eb04c"),
+    ("noisy_p0.1", 300000): (13924, "9094edd8bab8d362"),
+    ("noisy_p0.1", None): (31965, "7eb671e0b95929ef"),
+}
+
+
+def noise_state(session: OracleSession) -> tuple[int, str]:
+    state = json.dumps(session._rng.bit_generator.state, sort_keys=True)
+    return len(session.answer_cache), hashlib.sha256(state.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +206,8 @@ def X():
 
 @pytest.mark.parametrize("name,budget", list(PINS), ids=[f"{n}-{b}" for n, b in PINS])
 def test_payload_pinned(X, name, budget):
-    res = RUNS[name](X, budget)
+    res, session = RUNS[name](X, budget)
     got = {field: getattr(res, field) for field in PINS[name, budget]}
     assert got == PINS[name, budget]
+    if (name, budget) in NOISE:
+        assert noise_state(session) == NOISE[name, budget]
