@@ -12,9 +12,11 @@ Two families share one run state:
   running sample-mean centers.
 
 All draws are processed in batches whose ledger accounting, discovery
-registration and stopping points match a draw-at-a-time execution exactly;
-tests/test_recovery.py::TestPhase2Reference checks the Improved Phase 2
-against its draw-at-a-time reference.
+registration and stopping points match a draw-at-a-time execution exactly.
+tests/test_recovery.py keeps the draw-at-a-time references:
+TestPhase2Reference checks the Improved Phase 2, TestExpEngineReference
+the experiment engine (`exp_engine_reference`), and TestUniformReference
+`run_uniform`.
 """
 
 from __future__ import annotations
@@ -363,11 +365,16 @@ class RunState:
 
     # -- recovery commit ----------------------------------------------------
 
-    def commit_recovery(self, cid: int, center: np.ndarray):
+    def record_recovery(self, cid: int, center: np.ndarray):
+        """Record a recovered cluster and its center; the D2 weights stay."""
         self.centers[cid] = np.asarray(center, dtype=np.float64)
-        _sampling.add_center(self.sampler, center)
         self.I.append(cid)
         self.recovered.add(cid)
+
+    def commit_recovery(self, cid: int, center: np.ndarray):
+        """Record a recovered cluster and add its center to the sampler."""
+        _sampling.add_center(self.sampler, center)
+        self.record_recovery(cid, center)
 
     def check_target(self):
         if self.target is not None and self.k >= self.target:
@@ -781,13 +788,22 @@ def _constant_w(lo: np.ndarray, hi: np.ndarray, t_lo: int, t_hi: int):
 # Experiment-style variants: continuous acceptance, heuristic classification
 
 class _ExpEngine:
-    """Draw-at-a-time engine for the experiment-style variants.
+    """Block engine for the experiment-style variants.
 
     Every D2-draw is classified (by increasing distance to running
     sample-mean centers, the query-saving order the experiments use), then
     offered to its own cluster's acceptance test, min(1, w(ref) / w(x))
     against the cluster's current minimum-weight sampled point, building
     per-cluster pools of uniform samples as sampling proceeds.
+
+    Draws come from a 2048-draw buffer refilled when it runs out, and
+    `take` processes a block of them at once. A block ends at the buffer's
+    end, at the caller's limit, before the first draw of an undiscovered
+    label (which is taken on its own) and, given a pick rule, after the
+    first draw at which the rule fires. Within a block every draw's query
+    cost, reference point, acceptance coin and pool are those of the
+    draw-at-a-time loop that `exp_engine_reference` in
+    tests/test_recovery.py keeps, which this must match.
     """
 
     def __init__(self, run: RunState):
@@ -805,66 +821,218 @@ class _ExpEngine:
             centers[cid - 1] = run.centers[cid]
         return centers
 
-    def step(self) -> int:
-        """One draw: classify, record, maybe accept. Returns the cluster id."""
+    def live(self) -> np.ndarray:
+        """Per discovered cluster: neither recovered nor starved."""
+        live = np.ones(self.run.L, dtype=bool)
+        live[[c - 1 for c in self.run.recovered | self.run.starved]] = False
+        return live
+
+    def take(self, limit: int, pick=None) -> tuple[np.ndarray, list[int]]:
+        """Take and commit up to `limit` (>= 1) draws as one block.
+
+        Returns the cluster ids of the committed draws and, when pick
+        fired after the last of them, the clusters it names. On
+        BudgetExhausted the draws that fit are committed, then the
+        exception propagates; FullyCovered comes from a buffer refill,
+        before any draw.
+        """
         run = self.run
-        session = run.session
         if self._pos >= len(self._buf):
             self._buf = _sampling.d2_sample_batch(run.sampler, run.rng, 2048)
             self._pos = 0
-        x = int(self._buf[self._pos])
-        self._pos += 1
-        lab = int(session.truth[x])
+        xs = self._buf[self._pos:self._pos + limit]
         L = run.L
-        rank_arr = run.reps.rank_of_label(session)
-        true_cid = int(rank_arr[lab]) if lab < len(rank_arr) else 0
-        if L == 0:
-            cid = run.reps.add_cluster(x)
-        elif true_cid == 0:
-            session.charge(L)
-            cid = run.reps.add_cluster(x)
-        else:
-            # Query order: increasing distance to running centers, ties by id.
-            centers = self._centers_matrix()
-            diff = centers - run.X.points[x]
-            d2 = np.einsum("ld,ld->l", diff, diff)
-            order = np.argsort(d2, kind="stable")
-            session.charge(int(np.nonzero(order == true_cid - 1)[0][0]) + 1)
-            cid = true_cid
+        cl = (run.reps.rank_of_label(run.session)[run.session.truth[xs]] if L
+              else np.zeros(len(xs), dtype=np.int64))
+        new = np.flatnonzero(cl == 0)
+        if len(new) and new[0] == 0:
+            return self._discover(int(xs[0]), pick)
+        if len(new):
+            xs, cl = xs[:new[0]], cl[:new[0]]
+        seg = _Segments(cl)
+        return self._commit(xs, cl, seg, self._costs(xs, cl, seg), pick)
+
+    def _discover(self, x: int, pick) -> tuple[np.ndarray, list[int]]:
+        """A draw of an undiscovered label, on its own.
+
+        It costs one query per discovered cluster and opens a new cluster
+        with x as its representative and reference point, so its
+        acceptance probability is 1: its coin is drawn and always accepts.
+        """
+        run = self.run
+        if run.L:
+            run.session.charge(run.L)
+        cid = run.reps.add_cluster(x)
         run.ingest_one(x, cid)
-        if cid not in run.recovered and cid not in run.starved:
-            ref = self.refs.get(cid)
-            w = run.sampler.weights
-            if ref is None or w[x] < w[ref] or (w[x] == w[ref] and x < ref):
-                self.refs[cid] = ref = x
-            wx = float(w[x])
-            p = 1.0 if wx <= 0.0 else min(1.0, float(w[ref]) / wx)
-            if run.rng.random() < p:
-                run.accepted.setdefault(cid, []).append(x)
-        return cid
+        self._pos += 1
+        self.refs[cid] = x
+        run.rng.random()
+        run.accepted.setdefault(cid, []).append(x)
+        return np.array([cid]), (self.ready(pick) if pick is not None else [])
+
+    def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
+        """Queries of each draw: the rank of its cluster among the running
+        centers before it, by squared distance, ties by id.
+
+        A cluster's running sum is np.cumsum along its segment row, which
+        adds in the order of sequential +=, and its running center that sum
+        over max(count, 1); recovered clusters keep their recovered center.
+        """
+        run = self.run
+        m, L = len(xs), run.L
+        P = run.X.points[xs]
+        ids = seg.ids
+        Z = seg.rows(P, run.sums[ids - 1], 0.0)
+        counts = run.counts[ids - 1][:, None] + np.arange(seg.width)
+        means = np.cumsum(Z, axis=1) / np.maximum(counts, 1)[:, :, None]
+        # Row c of the table is cluster c + 1's center before the block;
+        # row L + (g, k) is segment g's center after k of its draws.
+        table = np.concatenate([self._centers_matrix(), means.reshape(-1, P.shape[1])])
+        index = np.tile(np.arange(L), (m, 1))
+        moving = np.array([c not in run.recovered for c in ids.tolist()], dtype=bool)
+        drawn = cl[:, None] == ids[moving]
+        index[:, ids[moving] - 1] = (L + np.flatnonzero(moving) * seg.width
+                                     + np.cumsum(drawn, axis=0) - drawn)
+        C = table[index]
+        C -= P[:, None, :]
+        D = np.einsum("mld,mld->ml", C, C)
+        own = D[np.arange(m), cl - 1][:, None]
+        below = (D < own) | ((D == own) & (np.arange(L) < cl[:, None] - 1))
+        return 1 + below.sum(axis=1)
+
+    def _commit(self, xs, cl, seg, costs, pick) -> tuple[np.ndarray, list[int]]:
+        """Acceptance, the pick cut, charging and ingestion of one block."""
+        run = self.run
+        m, L = len(xs), run.L
+        live = self.live()
+        coin_pos = np.flatnonzero(live[cl - 1])
+        w = run.sampler.weights
+        wx = w[xs]
+        # A cluster's reference weight is the running minimum of its
+        # sampled weights: the weight of its (w, x)-least sampled point.
+        ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
+                          for c in seg.ids.tolist()])
+        wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
+        wxc, wrc = wx[coin_pos], wref[coin_pos]
+        p = np.ones(len(coin_pos))
+        pos_w = wxc > 0.0
+        p[pos_w] = np.minimum(1.0, wrc[pos_w] / wxc[pos_w])
+        rng = run.rng
+        saved = rng.bit_generator.state
+        hit = np.zeros(m, dtype=bool)
+        hit[coin_pos] = rng.random(len(coin_pos)) < p
+        upto, ready = m, []
+        if pick is not None:
+            onehot = cl[:, None] == np.arange(1, L + 1)
+            counts = run.counts[:L] + np.cumsum(onehot, axis=0)
+            pools = self.pools() + np.cumsum(onehot & hit[:, None], axis=0)
+            fire = pick(counts, pools, live, run.config.heavy_threshold)
+            rows = np.flatnonzero(fire.any(axis=1))
+            if len(rows):
+                upto = int(rows[0]) + 1
+                ready = (np.flatnonzero(fire[rows[0]]) + 1).tolist()
+        try:
+            run.session.charge_items(costs[:upto])
+        except BudgetExhausted as e:
+            upto = e.done
+            raise
+        finally:
+            used = int(np.searchsorted(coin_pos, upto))
+            if used < len(coin_pos):
+                # Leave the generator where the coins of the committed
+                # draws leave it.
+                rng.bit_generator.state = saved
+                rng.random(used)
+            self._ingest(xs[:upto], cl[:upto], hit[:upto], live)
+        return cl[:upto], ready
+
+    def _ingest(self, xs, cl, hit, live):
+        """Commit draws: counts, sums and masks, then refs and pools."""
+        run = self.run
+        self._pos += len(xs)
+        run.ingest(xs, cl)
+        mine = live[cl - 1]
+        c, x = cl[mine], xs[mine]
+        seen = set(c.tolist())
+        old = [(k, v) for k, v in self.refs.items() if k in seen]
+        if old:
+            c = np.append(c, [k for k, _ in old])
+            x = np.append(x, [v for _, v in old])
+        w = run.sampler.weights
+        order = np.lexsort((x, w[x], c))
+        _, first = np.unique(c[order], return_index=True)
+        for k, v in zip(c[order[first]].tolist(), x[order[first]].tolist()):
+            self.refs[k] = v
+        got = np.flatnonzero(hit)
+        if len(got):
+            gc = cl[got]
+            order = np.argsort(gc, kind="stable")
+            ids, start = np.unique(gc[order], return_index=True)
+            for k, chunk in zip(ids.tolist(), np.split(xs[got[order]], start[1:])):
+                run.accepted.setdefault(k, []).extend(chunk.tolist())
+
+    def pools(self) -> np.ndarray:
+        """Uniform pool size per discovered cluster."""
+        acc = self.run.accepted
+        return np.array([len(acc.get(c, ())) for c in range(1, self.run.L + 1)],
+                        dtype=np.int64)
+
+    def ready(self, pick) -> list[int]:
+        """The clusters pick names on the current state."""
+        run = self.run
+        L = run.L
+        fire = pick(run.counts[None, :L], self.pools()[None], self.live(),
+                    run.config.heavy_threshold)
+        return (np.flatnonzero(fire[0]) + 1).tolist()
+
+
+class _Segments:
+    """A block's draws grouped by cluster, in draw order within a cluster.
+
+    ids are the clusters present, ascending; draw t is the r[t]-th draw of
+    segment g[t]. rows() lays a per-draw array out as one row per segment,
+    after a start column, so that accumulating along a row runs over one
+    cluster's draws in order.
+    """
+
+    def __init__(self, cl: np.ndarray):
+        order = np.argsort(cl, kind="stable")
+        self.ids, start, n = np.unique(cl[order], return_index=True, return_counts=True)
+        self.g = np.empty(len(cl), dtype=np.int64)
+        self.g[order] = np.repeat(np.arange(len(self.ids)), n)
+        self.r = np.empty(len(cl), dtype=np.int64)
+        self.r[order] = np.arange(len(cl)) - np.repeat(start, n)
+        self.width = int(n.max()) + 1
+
+    def rows(self, values: np.ndarray, start: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full((len(self.ids), self.width) + values.shape[1:], fill)
+        out[:, 0] = start
+        out[self.g, self.r + 1] = values
+        return out
 
 
 def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
     """Per-round termination test: draw the full floor(T1)+1 probe samples
     and report whether any classified outside the recovered set. Q starts
     empty each round, so carried samples do not satisfy the probe."""
-    t1 = threshold_t1(run.config.eps, run.k)
+    left = math.floor(threshold_t1(run.config.eps, run.k)) + 1
     seen_new = False
-    for _ in range(math.floor(t1) + 1):
+    while left:
         run.check_cap()
         try:
-            cid = engine.step()
+            cl, _ = engine.take(min(left, run.config.draw_cap - run.draws))
         except FullyCovered:
             return seen_new
-        if cid not in run.recovered and cid not in run.starved:
-            seen_new = True
+        seen_new = seen_new or bool(engine.live()[cl - 1].any())
+        left -= len(cl)
     return seen_new
 
 
 def _experiment_rounds(run: RunState, pick):
-    """Rounds of the experiment-style variants: probe, draw until
-    pick(run) names the clusters to recover, recover each from the first
-    h+1 samples of its uniform pool."""
+    """Rounds of the experiment-style variants: probe, draw until the pick
+    rule names the clusters to recover, recover each from the first h+1
+    samples of its uniform pool. The pick-loop blocks start at 32 draws
+    and double, since the rule often fires within a few dozen draws."""
     engine = _ExpEngine(run)
     h = run.config.heavy_threshold
     while True:
@@ -873,9 +1041,12 @@ def _experiment_rounds(run: RunState, pick):
             engine.refs.clear()
         if not _phase1_probe_engine(run, engine):
             return
-        while not (ready := pick(run)):
+        ready = engine.ready(pick)
+        size = 32
+        while not ready:
             run.check_cap()
-            engine.step()
+            _, ready = engine.take(min(size, run.config.draw_cap - run.draws), pick)
+            size = min(2 * size, 2048)
         for j in ready:
             pool = run.accepted[j][:h + 1]
             run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
@@ -884,28 +1055,26 @@ def _experiment_rounds(run: RunState, pick):
         run.check_target()
 
 
-def _heavy(run: RunState, Q: list[int]) -> list[int]:
-    """Clusters of Q, in index order, whose uniform pool holds strictly
-    more than heavy_threshold samples."""
-    h = run.config.heavy_threshold
-    return [cid for cid in Q if len(run.accepted.get(cid, ())) > h]
+# Pick rules. Each maps per-position state, counts[t, c] and pools[t, c]
+# (sample count and uniform pool size of cluster c + 1 after position t)
+# and live[c] (neither recovered nor starved), to ready[t, c]: whether the
+# rule, evaluated after position t, recovers cluster c + 1. A row with no
+# ready cluster means the rule does not fire there. Q is the live clusters
+# with samples, and a cluster of Q is heavy when its pool holds strictly
+# more than h samples.
+
+def _pick_first(counts, pools, live, h) -> np.ndarray:
+    """The heavy cluster of lowest index."""
+    heavy = live & (counts > 0) & (pools > h)
+    return heavy & (np.cumsum(heavy, axis=1) == 1)
 
 
-def _pick_first(run: RunState) -> list[int]:
-    return _heavy(run, run.Q())[:1]
-
-
-def _pick_heavy_mass(run: RunState) -> list[int]:
+def _pick_heavy_mass(counts, pools, live, h) -> np.ndarray:
     """All heavy clusters, once they hold over half the raw sample mass of Q."""
-    Q = run.Q()
-    heavy = _heavy(run, Q)
-    if heavy:
-        cnt = run.counts
-        hsum = int(sum(cnt[c - 1] for c in heavy))
-        tot = int(sum(cnt[c - 1] for c in Q))
-        if 2 * hsum > tot:
-            return heavy
-    return []
+    in_q = live & (counts > 0)
+    heavy = in_q & (pools > h)
+    fires = 2 * (counts * heavy).sum(axis=1) > (counts * in_q).sum(axis=1)
+    return heavy & fires[:, None]
 
 
 def run_basic_simplified(X: PointSet, session: OracleSession, config: RecoveryConfig,
@@ -932,7 +1101,8 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
                 target: int | None = None) -> RecoveryResult:
     """Uniform draws with replacement; a cluster is recovered once it holds
     strictly more than heavy_threshold samples. Runs until budget, target
-    or the draw cap."""
+    or the draw cap. No draw reads the D2 weights, so recoveries leave the
+    sampler untouched."""
     if session.budget is None and target is None:
         raise ValueError("run_uniform needs a query budget or a recovery target")
     return RunState(X, session, config, target).execute("uniform", _uniform_draws)
@@ -960,7 +1130,7 @@ def _uniform_draws(run: RunState):
             for p, cid in events:
                 if p < cut:
                     first = run.X.points[np.asarray(pending[cid][:h + 1])]
-                    run.commit_recovery(cid, first.mean(axis=0))
+                    run.record_recovery(cid, first.mean(axis=0))
             run.round = run.k  # one recovery per "round" for reporting
         run.check_target()
 

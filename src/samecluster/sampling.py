@@ -39,10 +39,13 @@ class SamplerState:
         n = len(self.points)
         if n == 0:
             raise GeometryError("sampler needs a non-empty point set")
+        if not np.isfinite(self.points).all():
+            raise GeometryError("sampler points contain non-finite coordinates")
         self.weights = np.ones(n, dtype=np.float64)
         self.total = float(n)
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
+        self._sq_norms: np.ndarray | None = None    # ||x||^2, from the second center
 
     @property
     def n_points(self) -> int:
@@ -59,18 +62,53 @@ class SamplerState:
 
 
 def add_center(state: SamplerState, center) -> SamplerState:
-    """Lower each weight to min(weight, ||x - c||^2); one linear pass."""
+    """Lower each weight to min(weight, ||x - c||^2).
+
+    The first center sets every weight to diff/einsum d^2. From the second
+    on, the exact d^2 is computed only for the points whose weight can
+    drop. Every point is bounded first by
+
+        approx = ||x||^2 - 2 x.c + ||c||^2,
+
+    which costs one pass over the points and no temporary (n, d) array,
+    and a point is a candidate unless approx >= w + 1e-8 (||x||^2 + ||c||^2).
+    Candidates get the full-pass formula (diff, einsum, np.minimum), so
+    every weight and the total are bit-identical to a full pass.
+
+    Why a skipped point keeps its weight: with S = ||x||^2 + ||c||^2 and
+    unit roundoff u = 2^-53, approx is within about 2(d + 3) u S of the
+    true d^2, and the diff/einsum d^2 within about (d + 2) u d^2 <=
+    2(d + 2) u S of it. A skipped point has w <= approx <= ~2S, so adding
+    the margin rounds off at most about 3 u S. All of these sit far inside
+    the 1e-8 S margin for any d below about 10^7, so a skipped point's
+    computed d^2 is at least w, and np.minimum would have kept w. This
+    holds while the squares neither overflow nor underflow; a NaN in the
+    bound compares False and makes the point a candidate.
+
+    x.c is an einsum, not a BLAS product: threaded BLAS would
+    oversubscribe the cores when several worker processes sample at once.
+    """
     c = np.asarray(center, dtype=np.float64).ravel()
     if c.shape[0] != state.points.shape[1]:
         raise GeometryError(
             f"center dimension {c.shape[0]} != point dimension {state.points.shape[1]}"
         )
-    diff = state.points - c
-    d2 = np.einsum("nd,nd->n", diff, diff)
+    if not np.isfinite(c).all():
+        raise GeometryError("center contains non-finite coordinates")
+    points = state.points
     if state.has_centers:
-        np.minimum(state.weights, d2, out=state.weights)
+        if state._sq_norms is None:
+            state._sq_norms = np.einsum("nd,nd->n", points, points)
+        sq = state._sq_norms
+        cc = float(np.einsum("d,d->", c, c))
+        approx = sq - 2.0 * np.einsum("nd,d->n", points, c) + cc
+        idx = np.flatnonzero(~(approx >= state.weights + 1e-8 * (sq + cc)))
+        diff = points[idx] - c
+        d2 = np.einsum("nd,nd->n", diff, diff)
+        state.weights[idx] = np.minimum(state.weights[idx], d2)
     else:
-        state.weights = d2
+        diff = points - c
+        state.weights = np.einsum("nd,nd->n", diff, diff)
     state.total = float(state.weights.sum())
     state.centers_version += 1
     state._cumsum = None

@@ -618,6 +618,263 @@ class TestUniformReference:
         assert recovered_under_budget >= 3
 
 
+# ---------------------------------------------------------------------------
+# Draw-at-a-time reference for the block experiment engine
+
+class StepEngine:
+    """The experiment-style engine one draw at a time.
+
+    Same 2048-draw buffer and refill points as recovery._ExpEngine. When
+    trace is a list it receives (ledger after the draw, phase, whether
+    the draw discovered a cluster) for every charged draw; phase is set by
+    the caller.
+    """
+
+    def __init__(self, run: RunState, trace: list | None = None):
+        self.run = run
+        self.refs: dict[int, int] = {}
+        self._buf = np.empty(0, dtype=np.int64)
+        self._pos = 0
+        self.trace = trace
+        self.phase = ""
+        self.zero_weight_draws = 0
+
+    def _centers_matrix(self) -> np.ndarray:
+        run = self.run
+        L = run.L
+        counts = np.maximum(run.counts[:L], 1)
+        centers = run.sums[:L] / counts[:, None]
+        for cid in run.recovered:
+            centers[cid - 1] = run.centers[cid]
+        return centers
+
+    def step(self) -> int:
+        """One draw: classify, record, maybe accept. Returns the cluster id."""
+        run = self.run
+        session = run.session
+        if self._pos >= len(self._buf):
+            self._buf = sampling.d2_sample_batch(run.sampler, run.rng, 2048)
+            self._pos = 0
+        x = int(self._buf[self._pos])
+        self._pos += 1
+        lab = int(session.truth[x])
+        L = run.L
+        rank_arr = run.reps.rank_of_label(session)
+        true_cid = int(rank_arr[lab]) if lab < len(rank_arr) else 0
+        if L == 0:
+            cid = run.reps.add_cluster(x)
+        elif true_cid == 0:
+            session.charge(L)
+            cid = run.reps.add_cluster(x)
+        else:
+            # Query order: increasing distance to running centers, ties by id.
+            centers = self._centers_matrix()
+            diff = centers - run.X.points[x]
+            d2 = np.einsum("ld,ld->l", diff, diff)
+            order = np.argsort(d2, kind="stable")
+            session.charge(int(np.nonzero(order == true_cid - 1)[0][0]) + 1)
+            cid = true_cid
+        if self.trace is not None and L:
+            self.trace.append((session.ledger, self.phase, true_cid == 0))
+        run.ingest_one(x, cid)
+        if cid not in run.recovered and cid not in run.starved:
+            ref = self.refs.get(cid)
+            w = run.sampler.weights
+            self.zero_weight_draws += bool(w[x] <= 0.0)
+            if ref is None or w[x] < w[ref] or (w[x] == w[ref] and x < ref):
+                self.refs[cid] = ref = x
+            wx = float(w[x])
+            p = 1.0 if wx <= 0.0 else min(1.0, float(w[ref]) / wx)
+            if run.rng.random() < p:
+                run.accepted.setdefault(cid, []).append(x)
+        return cid
+
+
+def probe_reference(run: RunState, engine: StepEngine) -> bool:
+    t1 = threshold_t1(run.config.eps, run.k)
+    seen_new = False
+    for _ in range(math.floor(t1) + 1):
+        run.check_cap()
+        try:
+            cid = engine.step()
+        except sampling.FullyCovered:
+            return seen_new
+        if cid not in run.recovered and cid not in run.starved:
+            seen_new = True
+    return seen_new
+
+
+def _heavy_reference(run: RunState, Q: list[int]) -> list[int]:
+    h = run.config.heavy_threshold
+    return [cid for cid in Q if len(run.accepted.get(cid, ())) > h]
+
+
+def pick_first_reference(run: RunState) -> list[int]:
+    return _heavy_reference(run, run.Q())[:1]
+
+
+def pick_heavy_mass_reference(run: RunState) -> list[int]:
+    Q = run.Q()
+    heavy = _heavy_reference(run, Q)
+    if heavy:
+        cnt = run.counts
+        if 2 * int(sum(cnt[c - 1] for c in heavy)) > int(sum(cnt[c - 1] for c in Q)):
+            return heavy
+    return []
+
+
+def exp_engine_reference(run: RunState, pick, box: dict | None = None):
+    """recovery._experiment_rounds one draw at a time: the probe, then a
+    draw at a time until the pick rule names clusters to recover. The
+    recovery pick rules map to their per-state reference forms."""
+    pick_ref = {recovery._pick_first: pick_first_reference,
+                recovery._pick_heavy_mass: pick_heavy_mass_reference}[pick]
+    box = {} if box is None else box
+    engine = StepEngine(run, box.get("trace"))
+    box.update(run=run, engine=engine)
+    h = run.config.heavy_threshold
+    while True:
+        log = run.new_round()
+        if not run.config.reuse_samples:
+            engine.refs.clear()
+        engine.phase = "probe"
+        if not probe_reference(run, engine):
+            return
+        engine.phase = "pick"
+        while not (ready := pick_ref(run)):
+            run.check_cap()
+            engine.step()
+        for j in ready:
+            pool = run.accepted[j][:h + 1]
+            run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
+            log["recovered"].append(j)
+        run.end_round(log)
+        run.check_target()
+
+
+def _exp_fixtures():
+    """Small fixtures with distance ties, duplicate points and zero weights.
+
+    Coordinates are rounded to a grid of 0.5, so distances to running
+    centers tie, and the random fixtures repeat some of their points.
+    Clusters 1 and 2 of the last fixture are copies of the origin: the
+    first of them recovered has its center exactly there, and every point
+    of the other then has weight 0.
+    """
+    rng = np.random.default_rng(21)
+    out = []
+    for i in range(2):
+        K = int(rng.integers(7, 11))
+        sizes = np.maximum(4, 900 * rng.dirichlet(np.full(K, 0.6))).astype(int)
+        ps = blobs(rng.uniform(-12, 12, size=(K, 2)), sizes, 1.0, seed=30 + i)
+        pts = np.round(ps.points * 2) / 2
+        dup = rng.integers(0, len(pts), size=100)
+        out.append(PointSet(np.vstack([pts, pts[dup]]),
+                            labels=np.concatenate([ps.labels, ps.labels[dup]])))
+    ps = blobs([(0.0, 0.0), (0.0, 0.0), (6.0, 0.0), (0.0, 8.0), (-7.0, -7.0)],
+               [200, 100, 150, 120, 40], 1.0, seed=40)
+    pts = np.round(ps.points * 2) / 2
+    pts[:300] = 0.0
+    out.append(PointSet(pts, labels=ps.labels))
+    return out
+
+
+def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
+    """Run a simplified variant with `rounds` as its round loop; returns
+    the payload, the ledger and the final engine state."""
+    box = {} if box is None else box
+
+    def patched(run, pick):
+        return rounds(run, pick, box)
+
+    session = OracleSession(ps.labels, budget=budget)
+    mp = pytest.MonkeyPatch()
+    mp.setattr(recovery, "_experiment_rounds", patched)
+    try:
+        res = runner(ps, session, copy.copy(cfg))
+    finally:
+        mp.undo()
+    run, engine = box["run"], box["engine"]
+    L = run.L
+    return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
+            engine.refs, run.accepted, run.counts[:L].tolist(), run.sums[:L].tobytes(),
+            {c: np.flatnonzero(m).tolist() for c, m in run.masks.items()})
+
+
+_experiment_rounds_block = recovery._experiment_rounds
+
+
+def _block_rounds(run, pick, box):
+    """recovery._experiment_rounds, recording its run, engine and blocks."""
+    takes = box.setdefault("takes", [])
+
+    class Recording(recovery._ExpEngine):
+        def __init__(self, r):
+            super().__init__(r)
+            box.update(run=r, engine=self)
+
+        def take(self, limit, pick=None):
+            start = self.run.draws
+            try:
+                return super().take(limit, pick)
+            finally:
+                takes.append((start, self.run.draws))
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(recovery, "_ExpEngine", Recording)
+    try:
+        return _experiment_rounds_block(run, pick)
+    finally:
+        mp.undo()
+
+
+class TestExpEngineReference:
+    def test_matches_draw_at_a_time(self):
+        cases = {"probe": 0, "pick": 0, "discovery": 0, "exact fit": 0,
+                 "cap 0": 0, "cap 1": 0, "cap mid-block": 0, "zero weight": 0,
+                 "refill": 0}
+        for ps in _exp_fixtures():
+            for runner in (run_basic_simplified, run_improved_simplified):
+                for reuse in (True, False):
+                    cfg = RecoveryConfig(eps=0.5, seed=7, reuse_samples=reuse,
+                                         heavy_threshold=3, draw_cap=6000)
+                    ref_box = {"trace": []}
+                    want = _exp_run(exp_engine_reference, ps, runner, cfg, box=ref_box)
+                    blk_box = {}
+                    assert _exp_run(_block_rounds, ps, runner, cfg, box=blk_box) == want
+                    trace = ref_box["trace"]
+                    cases["zero weight"] += ref_box["engine"].zero_weight_draws
+                    cases["refill"] += want[0]["samples_total"] > 2048
+                    budgets = {"exact fit": want[1]}
+                    for case in ("probe", "pick"):
+                        # A non-discovery draw past the middle of the run.
+                        at = [i for i, (_, ph, new) in enumerate(trace)
+                              if ph == case and not new and i >= len(trace) // 2]
+                        if at:
+                            budgets[case] = trace[at[0]][0] - 1
+                    disc = [i for i, (_, _, new) in enumerate(trace) if new]
+                    if disc:
+                        budgets["discovery"] = trace[disc[-1]][0] - 1
+                    for case, budget in budgets.items():
+                        want = _exp_run(exp_engine_reference, ps, runner, cfg, budget)
+                        assert _exp_run(_block_rounds, ps, runner, cfg, budget) == want, case
+                        assert (want[0]["stop_reason"] == "budget") == (case != "exact fit")
+                        cases[case] += 1
+                    # A cap strictly inside one of the block engine's blocks.
+                    mid = [(a + b) // 2 for a, b in blk_box["takes"] if b - a >= 8]
+                    caps = {"cap 0": 0, "cap 1": 1}
+                    if mid:
+                        caps["cap mid-block"] = mid[len(mid) // 2]
+                    for case, cap in caps.items():
+                        capped = copy.copy(cfg)
+                        capped.draw_cap = cap
+                        want = _exp_run(exp_engine_reference, ps, runner, capped)
+                        assert _exp_run(_block_rounds, ps, runner, capped) == want, case
+                        assert want[0]["stop_reason"] == "draw_cap"
+                        cases[case] += 1
+        assert min(cases.values()) > 0, cases
+
+
 class TestPhase1Probe:
     def test_all_recovered_probe_fails_after_t1(self):
         ps = blobs([(0.0, 0.0)], [200], 0.1)

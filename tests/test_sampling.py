@@ -53,6 +53,71 @@ class TestAddCenter:
         assert st.total == pytest.approx(fresh.sum(), rel=1e-9)
 
 
+def add_center_reference(weights, points, c):
+    """The full-pass update: every weight against its exact d^2."""
+    diff = points - np.asarray(c, dtype=np.float64)
+    d2 = np.einsum("nd,nd->n", diff, diff)
+    return d2 if weights is None else np.minimum(weights, d2)
+
+
+class TestAddCenterExact:
+    """The filtered update is bit-equal to the full pass after every center."""
+
+    @staticmethod
+    def check(points, centers):
+        st = SamplerState(points)
+        w = None
+        for c in centers:
+            add_center(st, c)
+            w = add_center_reference(w, st.points, c)
+            assert st.weights.tobytes() == w.tobytes()
+            assert st.total == float(w.sum())
+
+    def test_integer_grids_with_ties(self):
+        rng = np.random.default_rng(0)
+        for d in (1, 2, 3, 4):
+            grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * d), -1).reshape(-1, d)
+            pts = np.vstack([grid, grid[::5], grid[:7]])        # duplicate points
+            on_points = list(grid[rng.integers(0, len(grid), size=6)])
+            halves = list(rng.integers(-6, 7, size=(6, d)) / 2.0)  # equidistant ties
+            centers = on_points + halves + on_points[:3]         # repeated centers
+            rng.shuffle(centers)
+            self.check(pts, centers)
+
+    @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1.0, 0.0), (1e8, 0.0), (1.0, 1e8)])
+    def test_scales_and_dimensions(self, scale, offset):
+        rng = np.random.default_rng(1)
+        for d in (1, 2, 3, 5, 10, 20, 35, 50):
+            means = rng.normal(scale=8.0, size=(6, d))
+            pts = means[rng.integers(0, 6, size=600)] + rng.normal(size=(600, d))
+            pts = pts * scale + offset
+            centers = [pts[i] for i in rng.integers(0, 600, size=5)]   # on points
+            centers += [m * scale + offset for m in means]
+            centers.append(centers[0])
+            self.check(pts, centers)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            SamplerState([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_center_rejected(self, bad, first):
+        # A NaN center used to turn every weight and the total into NaN,
+        # after which every D2 draw returned the last index.
+        st = SamplerState([[0.0], [1.0], [5.0]])
+        if not first:
+            add_center(st, [1.0])
+        w, total, version = st.weights.copy(), st.total, st.centers_version
+        with pytest.raises(GeometryError):
+            add_center(st, [bad])
+        assert st.weights.tobytes() == w.tobytes()
+        assert (st.total, st.centers_version) == (total, version)
+
+
 class TestD2Sample:
     def test_ratio_distribution(self):
         st = SamplerState([[0.0], [2.0]])
