@@ -32,6 +32,8 @@ class PointSet:
 
     points: np.ndarray
     labels: np.ndarray | None = None
+    # (labels, stable argsort of labels, label start offsets), built on first use.
+    _by_label: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = as_points(self.points)
@@ -56,9 +58,21 @@ class PointSet:
         return int(self.labels.max())
 
     def cluster_points(self, label: int) -> np.ndarray:
+        """The points labelled `label`, in index order (points[labels == label]).
+
+        Served from one stable sort of the labels, kept while the labels
+        array is the same object.
+        """
         if self.labels is None:
             raise GeometryError("point set has no ground-truth labels")
-        return self.points[self.labels == label]
+        if self._by_label is None or self._by_label[0] is not self.labels:
+            order = np.argsort(self.labels, kind="stable").astype(np.int32)
+            starts = np.concatenate([[0], np.cumsum(np.bincount(self.labels))])
+            self._by_label = (self.labels, order, starts)
+        _, order, starts = self._by_label
+        if label not in range(len(starts) - 1):
+            return self.points[:0]
+        return self.points[order[starts[int(label)]:starts[int(label) + 1]]]
 
     def true_centroids(self) -> "CenterSet":
         """Centroid of each ground-truth cluster, keyed by label."""

@@ -197,7 +197,7 @@ def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives)
     xs = np.asarray(xs, dtype=np.int64)
     rank = reps.rank_of_label(session)
     labels = session.truth[xs]
-    cl = rank[labels].astype(np.int64)
+    cl = rank[labels].astype(np.int64, copy=False)
     costs = cl.copy()
     new_firsts: list[tuple[int, int]] = []
     pos = np.flatnonzero(cl == 0)

@@ -219,14 +219,16 @@ class RunState:
         self.starved: set[int] = set()
         self.centers: dict[int, np.ndarray] = {}
         self.counts = np.zeros(8, dtype=np.int64)       # per discovered id, 1-based
-        self.masks: dict[int, np.ndarray] = {}          # sampled-point bitmaps
+        # Sampled-point bitmaps: row cid - 1 marks the points drawn for cid.
+        self.masks = np.zeros((8, len(X)), dtype=bool)
         self.accepted: dict[int, list[int]] = {}        # uniform pools per cluster
         self.s_total = 0
         self.draws = 0
         self.round = 0
         self.logs: list[dict] = []
-        # Running sample sums for heuristic-classification centers; theory
-        # variants never consult them and switch the upkeep off.
+        # Running sample sums for heuristic-classification centers; the
+        # theory variants and the uniform baseline never consult them and
+        # switch the upkeep off.
         self.track_sums = True
         self.sums = np.zeros((8, X.dim), dtype=np.float64)
 
@@ -236,13 +238,11 @@ class RunState:
         while cid > len(self.counts):
             self.counts = np.concatenate([self.counts, np.zeros(len(self.counts), dtype=np.int64)])
             self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
+            self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
 
     def mask_of(self, cid: int) -> np.ndarray:
-        m = self.masks.get(cid)
-        if m is None:
-            m = np.zeros(len(self.X), dtype=bool)
-            self.masks[cid] = m
-        return m
+        """Cluster cid's sampled-point bitmap (a view of its row)."""
+        return self.masks[cid - 1]
 
     @property
     def k(self) -> int:
@@ -266,7 +266,7 @@ class RunState:
         """Theory semantics without sample reuse: Q, S and pools start empty."""
         self.counts[:] = 0
         self.sums[:] = 0.0
-        self.masks.clear()
+        self.masks[:] = False
         self.accepted = {cid: pool for cid, pool in self.accepted.items()
                          if cid in self.recovered}
         self.s_total = 0
@@ -281,8 +281,7 @@ class RunState:
         self.counts += np.bincount(cl - 1, minlength=len(self.counts))
         if self.track_sums:
             np.add.at(self.sums, cl - 1, self.X.points[idx])
-        for cid in np.unique(cl):
-            self.mask_of(int(cid))[idx[cl == cid]] = True
+        self.masks[cl - 1, idx] = True
         self.s_total += len(idx)
         self.draws += len(idx)
 
@@ -290,7 +289,7 @@ class RunState:
         self._ensure_capacity(cid)
         self.counts[cid - 1] += 1
         self.sums[cid - 1] += self.X.points[x]
-        self.mask_of(cid)[x] = True
+        self.masks[cid - 1, x] = True
         self.s_total += 1
         self.draws += 1
 
@@ -301,8 +300,7 @@ class RunState:
         self.counts += binc.astype(np.int64)
         if self.track_sums:
             np.add.at(self.sums, cl - 1, self.X.points[sampled] * mult[:, None])
-        for cid in np.unique(cl):
-            self.mask_of(int(cid))[sampled[cl == cid]] = True
+        self.masks[cl - 1, sampled] = True
         total = int(mult.sum())
         self.s_total += total
         self.draws += total
@@ -1105,7 +1103,9 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
     sampler untouched."""
     if session.budget is None and target is None:
         raise ValueError("run_uniform needs a query budget or a recovery target")
-    return RunState(X, session, config, target).execute("uniform", _uniform_draws)
+    run = RunState(X, session, config, target)
+    run.track_sums = False
+    return run.execute("uniform", _uniform_draws)
 
 
 def _uniform_draws(run: RunState):

@@ -1,7 +1,9 @@
 """D2-sampling with incrementally maintained weights, and rejection sampling.
 
 The sampler keeps one weight per point: its squared distance to the nearest
-center added so far. Draws are weighted by prefix-sum inversion; with no
+center added so far. Draws are weighted by prefix-sum inversion, sped up by
+a guide table (an indexed inverse-CDF search) that answers most draws
+without a binary search and every draw exactly as the search would; with no
 centers yet, draws are uniform (the standard first-draw convention).
 """
 
@@ -45,6 +47,7 @@ class SamplerState:
         self.total = float(n)
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
+        self._guide: tuple[np.ndarray, np.ndarray] | None = None   # (cumsum, table)
         self._sq_norms: np.ndarray | None = None    # ||x||^2, from the second center
 
     @property
@@ -116,15 +119,67 @@ def add_center(state: SamplerState, center) -> SamplerState:
 
 
 def d2_sample_batch(state: SamplerState, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw `size` point indices with probability weight/total (uniform if no centers)."""
+    """Draw `size` point indices with probability weight/total (uniform if no centers).
+
+    Each draw is min(searchsorted(cs, u * top, "right"), n - 1) for one
+    uniform u = rng.random(), cs the prefix sums of the weights and
+    top = cs[-1]. A guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
+    gives that index without a binary search for most draws. With
+    m = 2^ceil(log2(8n)) cells, e_k = fl((k/m) top) and
+    t[k] = min(searchsorted(cs, e_k, "right"), n - 1) for k = 0..m, a draw
+    falls in cell k = floor(u m); where t[k] == t[k + 1] that value is its
+    index, and only the other draws are searched (at most n of the m
+    cells hold a prefix sum, so at most about one draw in eight).
+
+    Why this is exact: m is a power of two, so u m and k/m are exact and
+    k/m <= u < (k + 1)/m. Rounding a product with a positive top is
+    monotone, so e_k <= fl(u top) <= e_{k+1}; searchsorted and the clamp
+    to n - 1 are monotone in the key, so the draw's index lies in
+    [t[k], t[k + 1]]. The draws, and the RNG state after them, are those
+    of the plain search.
+
+    The table is kept with the prefix-sum array it was built from and
+    serves only that array, which add_center drops. It is built on the
+    first call of at least n draws against the array, since building it
+    costs about as much as n plain draws, and serves later calls of any
+    size.
+    """
     if not state.has_centers:
         return rng.integers(0, state.n_points, size=size)
     if state.total <= 0.0:
         raise FullyCovered("all points coincide with the current centers")
     cs = state.cumsum()
-    r = rng.random(size) * cs[-1]
-    idx = np.searchsorted(cs, r, side="right")
-    return np.minimum(idx, state.n_points - 1)
+    n = state.n_points
+    top = cs[-1]
+    guide = state._guide
+    if guide is not None and guide[0] is cs:
+        tab = guide[1]
+    elif size >= n and np.isfinite(top):
+        tab = _guide_table(cs, top)
+        state._guide = (cs, tab)
+    else:
+        return np.minimum(np.searchsorted(cs, rng.random(size) * top, side="right"), n - 1)
+    u = rng.random(size)
+    idx = tab[(u * len(tab)).astype(np.intp)]
+    miss = np.flatnonzero(idx < 0)
+    idx[miss] = np.minimum(np.searchsorted(cs, u[miss] * top, side="right"), n - 1)
+    return idx
+
+
+def _guide_table(cs: np.ndarray, top) -> np.ndarray:
+    """Cell k < m holds t[k] where t[k] == t[k + 1], else -1 (t as in
+    d2_sample_batch).
+
+    t is built in O(n log m): prefix sum i lies at or below edge k exactly
+    when k >= searchsorted(edges, cs[i], "left"), so t[k] counts the sums
+    whose first such edge is at most k.
+    """
+    n = len(cs)
+    m = 1 << (8 * n - 1).bit_length()       # the least power of two >= 8n
+    edges = np.arange(m + 1, dtype=np.float64) * (1.0 / m) * top
+    first = np.searchsorted(edges, cs, side="left")
+    t = np.minimum(np.cumsum(np.bincount(first, minlength=m + 1)[:m + 1]), n - 1)
+    return np.where(t[:-1] == t[1:], t[:-1], -1)
 
 
 def reference_point(sample_indices, state: SamplerState) -> int:

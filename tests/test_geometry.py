@@ -116,3 +116,22 @@ class TestPointSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(GeometryError):
             PointSet([(0.0, np.nan)])
+
+    def test_cluster_points_equal_the_mask_form(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(1, 9, size=500)
+        labels[labels == 4] = 5                    # label 4 absent
+        ps = PointSet(rng.normal(size=(500, 3)), labels=labels)
+        for lab in [*range(0, 11), 2.5]:
+            want = ps.points[ps.labels == lab]
+            got = ps.cluster_points(lab)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if len(want):
+                assert centroid_error(got, np.ones(3)) == centroid_error(want, np.ones(3))
+        ps.labels = np.where(ps.labels == 5, 1, ps.labels)   # new labels array
+        assert ps.cluster_points(5).shape == (0, 3)
+        assert ps.cluster_points(1).tobytes() == ps.points[ps.labels == 1].tobytes()
+
+    def test_cluster_points_need_labels(self):
+        with pytest.raises(GeometryError):
+            PointSet(np.zeros((2, 2))).cluster_points(1)

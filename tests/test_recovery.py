@@ -286,8 +286,7 @@ def improved_phase2_reference(run: RunState, trace: list | None = None):
 def _phase2_state(run: RunState, outcome) -> tuple:
     return (outcome, run.session.ledger, run.s_total, run.draws,
             run.counts.tolist(), dict(run.reps.reps),
-            {c: np.flatnonzero(m).tolist() for c, m in run.masks.items()},
-            run.rng.bit_generator.state)
+            np.argwhere(run.masks).tolist(), run.rng.bit_generator.state)
 
 
 def _run_phase2(phase2, snapshot: RunState, budget: int | None = None) -> tuple:
@@ -798,7 +797,7 @@ def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
     L = run.L
     return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
             engine.refs, run.accepted, run.counts[:L].tolist(), run.sums[:L].tobytes(),
-            {c: np.flatnonzero(m).tolist() for c, m in run.masks.items()})
+            np.argwhere(run.masks).tolist())
 
 
 _experiment_rounds_block = recovery._experiment_rounds
@@ -968,3 +967,87 @@ class TestReuseModes:
         cfg = RecoveryConfig(eps=0.5, seed=6, reuse_samples=reuse, draw_cap=10**9)
         res = run_improved(ps, OracleSession(ps.labels), cfg)
         assert res.K_recovered == 3
+
+
+class IngestReference:
+    """RunState's sample ingestion as a loop over clusters: one bitmap per
+    cluster, created on first use."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.masks: dict[int, np.ndarray] = {}
+        self.counts: dict[int, int] = {}
+        self.s_total = 0
+
+    def mask(self, cid: int) -> np.ndarray:
+        return self.masks.setdefault(cid, np.zeros(self.n, dtype=bool))
+
+    def ingest_counts(self, sampled, cl, mult):
+        for cid in np.unique(cl).tolist():
+            self.mask(cid)[sampled[cl == cid]] = True
+            self.counts[cid] = self.counts.get(cid, 0) + int(mult[cl == cid].sum())
+        self.s_total += int(mult.sum())
+
+    def ingest(self, idx, cl):
+        self.ingest_counts(idx, cl, np.ones(len(idx), dtype=np.int64))
+
+    def reset(self):
+        self.masks.clear()
+        self.counts.clear()
+        self.s_total = 0
+
+
+class TestIngestReference:
+    """ingest, ingest_one and ingest_counts leave the bitmaps, counts and
+    sample total of the per-cluster loop, across capacity growth and
+    round resets."""
+
+    @staticmethod
+    def same(run: RunState, ref: IngestReference):
+        want = sorted((cid - 1, int(x)) for cid, m in ref.masks.items()
+                      for x in np.flatnonzero(m))
+        assert np.argwhere(run.masks).tolist() == [list(p) for p in want]
+        counts = np.zeros(len(run.counts), dtype=np.int64)
+        for cid, c in ref.counts.items():
+            counts[cid - 1] = c
+        assert run.counts.tolist() == counts.tolist()
+        assert run.s_total == ref.s_total
+        for cid, m in ref.masks.items():
+            assert run.mask_of(cid).tobytes() == m.tobytes()
+            if m.any():
+                idxs = np.flatnonzero(m)
+                want_ref = int(idxs[np.argmin(run.sampler.weights[idxs])])
+                assert run.reference_for(cid) == want_ref
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_matches_per_cluster_loop(self, reuse):
+        rng = np.random.default_rng(11)
+        n = 400
+        ps = PointSet(rng.normal(size=(n, 2)), labels=rng.integers(1, 31, size=n))
+        run = RunState(ps, OracleSession(ps.labels),
+                       RecoveryConfig(eps=0.5, seed=0, reuse_samples=reuse))
+        run.sampler.weights = rng.integers(0, 5, size=n).astype(np.float64)
+        ref = IngestReference(n)
+        capacities = {len(run.counts)}
+        for step, top in enumerate([3, 5, 8, 9, 12, 16, 17, 24, 30, 30]):
+            if step % 3 == 2:
+                run.new_round()
+                if not reuse:
+                    ref.reset()
+            idx = rng.integers(0, n, size=int(rng.integers(1, 60)))
+            cl = rng.integers(1, top + 1, size=len(idx))
+            run.ingest(idx, cl)
+            ref.ingest(idx, cl)
+            self.same(run, ref)
+            x, cid = int(rng.integers(0, n)), int(rng.integers(1, top + 1))
+            run.ingest_one(x, cid)
+            ref.ingest(np.array([x]), np.array([cid]))
+            self.same(run, ref)
+            sampled = np.unique(rng.integers(0, n, size=25))
+            cl = rng.integers(1, top + 1, size=len(sampled))
+            mult = rng.integers(1, 4, size=len(sampled))
+            run.ingest_counts(sampled, cl, mult)
+            ref.ingest_counts(sampled, cl, mult)
+            self.same(run, ref)
+            capacities.add(len(run.counts))
+        assert capacities == {8, 16, 32}

@@ -156,6 +156,149 @@ class TestD2Sample:
         assert 1 not in set(draws.tolist())
 
 
+def d2_sample_reference(cs, rng, size):
+    """Draw-at-a-time form of d2_sample_batch: one binary search per uniform."""
+    return np.minimum(np.searchsorted(cs, rng.random(size) * cs[-1], side="right"),
+                      len(cs) - 1)
+
+
+class _Uniforms:
+    """Stands in for a Generator: random(size) hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.pos = 0
+
+    def random(self, size):
+        out = self.u[self.pos:self.pos + size]
+        self.pos += size
+        return out
+
+
+def _weighted_state(weights) -> SamplerState:
+    w = np.asarray(weights, dtype=np.float64)
+    st = SamplerState(np.zeros((len(w), 1)))
+    st.weights = w.copy()
+    st.total = float(w.sum())
+    st.centers_version = 1
+    st._cumsum = None
+    return st
+
+
+def _weight_cases():
+    rng = np.random.default_rng(7)
+    yield "n=1", np.array([3.0])
+    yield "single nonzero", np.eye(1, 37, 23).ravel()
+    yield "leading zeros", np.concatenate([np.zeros(5), rng.random(40)])
+    yield "trailing zeros", np.concatenate([rng.random(40), np.zeros(5)])
+    z = rng.random(300)
+    z[rng.random(300) < 0.3] = 0.0
+    yield "scattered zeros", z
+    yield "equal weights, n=64", np.full(64, 0.7)
+    yield "equal weights, n=100", np.full(100, 1.0)
+    yield "runs of equal weights", np.repeat(rng.integers(0, 4, size=40) / 4.0, 9)
+    yield "integer grid", rng.integers(0, 6, size=257).astype(np.float64)
+    for scale in (1e-8, 1e8):
+        yield f"scale {scale:g}", rng.random(500) * scale
+        yield f"runs at scale {scale:g}", np.repeat(rng.integers(0, 3, size=30), 7) * scale
+    yield "heavy tail", rng.pareto(0.5, size=400)
+
+
+class TestGuideTable:
+    """d2_sample_batch returns the reference's indices and leaves the
+    generator where the reference leaves it."""
+
+    @staticmethod
+    def check(st, seed, size):
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = d2_sample_batch(st, r1, size)
+        want = d2_sample_reference(st.cumsum(), r2, size)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("case, weights", list(_weight_cases()),
+                             ids=[c for c, _ in _weight_cases()])
+    def test_random_draws_match_reference(self, case, weights):
+        n = len(weights)
+        for size in (max(n - 1, 1), n, n + 1, 40 * n + 3):
+            st = _weighted_state(weights)
+            self.check(st, n + size, size)
+            self.check(st, size, 7)             # reuses the table built above
+
+    @staticmethod
+    def check_boundaries(st):
+        """Uniforms on and a few ulps either side of every cell edge k/m of
+        the table and every prefix-sum fraction cs[i]/top."""
+        m = len(st._guide[1])
+        cs = st.cumsum()
+        base = np.concatenate([np.arange(m + 1) * (1.0 / m), cs / cs[-1]])
+        u = [base]
+        for steps in (1, 2, 3, 8):
+            u.append(base + steps * np.spacing(base))
+            u.append(base - steps * np.spacing(base))
+        u = np.unique(np.concatenate(u))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = d2_sample_batch(st, _Uniforms(u), len(u))
+        np.testing.assert_array_equal(got, d2_sample_reference(cs, _Uniforms(u), len(u)))
+
+    @pytest.mark.parametrize("case, weights", list(_weight_cases()),
+                             ids=[c for c, _ in _weight_cases()])
+    def test_uniforms_at_every_boundary(self, case, weights):
+        st = _weighted_state(weights)
+        d2_sample_batch(st, np.random.default_rng(0), len(weights))
+        self.check_boundaries(st)
+
+    @pytest.mark.parametrize("n", [3, 100, 1000, 3001])
+    def test_prefix_sums_on_cell_edges(self, n):
+        # top = 1 and every prefix sum equal to a cell edge k/m, where a
+        # draw one ulp from the edge is on the wrong side of it unless the
+        # cell of u is exact.
+        rng = np.random.default_rng(n)
+        probe = _weighted_state(np.ones(n))
+        d2_sample_batch(probe, rng, n)
+        m = len(probe._guide[1])
+        ks = np.sort(rng.choice(np.arange(1, m), size=n - 1, replace=False))
+        edges = np.append(ks * (1.0 / m), 1.0)
+        st = _weighted_state(np.diff(edges, prepend=0.0))
+        assert np.count_nonzero(st.cumsum() == edges) >= n // 2
+        d2_sample_batch(st, rng, n)
+        self.check_boundaries(st)
+
+    def test_small_calls_build_no_table(self):
+        st = _weighted_state(np.arange(1.0, 101.0))
+        self.check(st, 1, 99)
+        assert st._guide is None
+        self.check(st, 2, 100)
+        assert st._guide is not None
+
+    def test_overflowing_total_builds_no_table(self):
+        with np.errstate(over="ignore"):
+            st = _weighted_state([1e308, 1e308, 0.0])
+            self.check(st, 4, 30)
+        assert st._guide is None
+
+    def test_table_follows_the_weights(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(300, 2))
+        st = SamplerState(pts)
+        add_center(st, pts[0])
+        self.check(st, 10, 3000)
+        table = st._guide
+        self.check(st, 11, 5)
+        assert st._guide is table               # reused across calls
+        add_center(st, pts[1])                  # new weights drop the table
+        self.check(st, 12, 50)
+        self.check(st, 13, 3000)
+        assert st._guide is not table
+        st.weights = np.where(np.arange(300) < 150, st.weights, 0.0)
+        st.total = float(st.weights.sum())
+        st._cumsum = None                       # so does a reset by hand
+        self.check(st, 14, 1)
+        self.check(st, 15, 3000)
+        assert set(d2_sample_batch(st, rng, 3000).tolist()) <= set(range(150))
+
+
 class TestReferencePoint:
     def test_argmin(self):
         st = SamplerState([[0.0], [1.0], [2.0], [3.0]])
