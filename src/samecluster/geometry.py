@@ -102,12 +102,6 @@ class CenterSet:
     def add(self, i: int, center) -> None:
         self.centers[int(i)] = np.asarray(center, dtype=np.float64).ravel()
 
-    def as_array(self) -> np.ndarray:
-        """Centers stacked in ascending index order; shape (k, d)."""
-        if not self.centers:
-            raise GeometryError("empty center set has no array form")
-        return np.vstack([self.centers[i] for i in sorted(self.centers)])
-
 
 def sq_dists_to_set(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from each point to its nearest center."""

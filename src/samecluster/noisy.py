@@ -142,7 +142,7 @@ def _noisy_probe(run: RunState) -> bool:
     A batch that would pass the draw cap is not drawn.
     """
     n1 = math.floor(threshold_t1(run.config.eps, run.k)) + 1
-    if run.draws + n1 > run.config.draw_cap:
+    if run.room(n1) < n1:
         raise _DrawCap()
     probe = _sampling.d2_sample_batch(run.sampler, run.rng, n1)
     run.draws += n1
@@ -163,7 +163,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     while True:
         arg = max(1.0, math.log2((k + q) / eps))
         T = math.ceil(config.c2 * q * q * arg * arg / (eps * eps))
-        if run.draws + T > run.config.draw_cap:
+        if run.room(T) < T:
             raise _DrawCap()
         S = _sampling.d2_sample_batch(run.sampler, run.rng, T)
         run.draws += T
@@ -202,5 +202,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
         run.reps.reps[cid] = _capped_reps(groups[j], retain)
         run.commit_recovery(cid, run.X.points[np.asarray(acc[j])].mean(axis=0))
         log["recovered"].append(cid)
-    run.stop_if_capped(unmet)
+    if unmet:
+        run.check_target()
+        raise _DrawCap()
     return True

@@ -138,11 +138,6 @@ class Representatives:
         self._rank_of_label = None
         return idx
 
-    def add_member(self, i: int, point_index: int) -> None:
-        if not self.noisy:
-            raise OracleError("single-representative mode cannot grow Z_i")
-        self.reps[i].append(int(point_index))
-
     def rank_of_label(self, session: OracleSession) -> np.ndarray:
         """Exact mode: map truth label -> discovered index, rebuilt on growth."""
         if self.noisy or not session.exact:
@@ -190,7 +185,8 @@ def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives)
     and new_firsts the [(position, point_index), ...] of first appearances
     of undiscovered clusters, in order. Provisional indices continue the
     discovery numbering, so committing a prefix of the batch reproduces a
-    sequential run exactly.
+    sequential run exactly. costs is cl itself when the batch discovers
+    nothing; neither is written after the peek.
     """
     if not session.exact:
         raise OracleError("peek_classify requires the exact oracle")
@@ -198,10 +194,11 @@ def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives)
     rank = reps.rank_of_label(session)
     labels = session.truth[xs]
     cl = rank[labels].astype(np.int64, copy=False)
-    costs = cl.copy()
+    costs = cl
     new_firsts: list[tuple[int, int]] = []
     pos = np.flatnonzero(cl == 0)
     if len(pos):
+        costs = cl.copy()
         # Undiscovered labels are numbered L+1, L+2, ... by first appearance.
         _, first, inv = np.unique(labels[pos], return_index=True, return_inverse=True)
         order = np.argsort(first)

@@ -253,14 +253,9 @@ class RunState:
         return self.reps.discovered_count
 
     def Q(self) -> list[int]:
-        """Sampled-but-unrecovered clusters, starved ones excluded."""
-        out = []
-        for cid in range(1, self.L + 1):
-            if cid in self.recovered or cid in self.starved:
-                continue
-            if self.counts[cid - 1] > 0:
-                out.append(cid)
-        return out
+        """Sampled-but-unrecovered clusters."""
+        return [cid for cid in range(1, self.L + 1)
+                if cid not in self.recovered and self.counts[cid - 1] > 0]
 
     def reset_round_state(self):
         """Theory semantics without sample reuse: Q, S and pools start empty."""
@@ -334,8 +329,7 @@ class RunState:
         the draw cap, only the draws up to the cap are made, then _DrawCap
         is raised.
         """
-        room = self.config.draw_cap - self.draws
-        remaining = min(n, room)
+        fits = remaining = self.room(n)
         session = self.session
         truth = session.truth
         while remaining > 0:
@@ -358,7 +352,7 @@ class RunState:
             session.charge(int((mult * cl).sum()))
             self.ingest_counts(sampled, cl, mult)
             remaining -= b
-        if n > room:
+        if fits < n:
             raise _DrawCap()
 
     # -- recovery commit ----------------------------------------------------
@@ -378,10 +372,14 @@ class RunState:
         if self.target is not None and self.k >= self.target:
             raise TargetReached()
 
-    def check_cap(self):
-        """Raise _DrawCap before a draw that would pass the draw cap."""
-        if self.draws >= self.config.draw_cap:
+    def room(self, n: int) -> int:
+        """How many of n further draws fit under the draw cap; _DrawCap
+        when none does. The one check of the cap outside rejection passes.
+        """
+        fits = min(n, self.config.draw_cap - self.draws)
+        if fits <= 0:
             raise _DrawCap()
+        return fits
 
     def reference_for(self, cid: int) -> int:
         idxs = np.flatnonzero(self.mask_of(cid))
@@ -392,8 +390,11 @@ class RunState:
     def rej_samp(self, W, refs: dict, T, **kwargs) -> tuple[dict, list[int]]:
         """sampling.rej_samp within the draws left under the cap.
 
-        Returns (pools, unmet). Unmet quotas mean the cap bound; the round
-        records what it completed, then calls stop_if_capped.
+        Returns (pools, unmet). The remainder goes in as it is, 0 included:
+        a pass whose carried pools already meet every quota draws nothing.
+        Unmet quotas mean the cap cut the pass. They are recorded as
+        starved; the round records what it completed, then raises _DrawCap
+        unless the target is reached.
         """
         try:
             acc, draws, _ = _sampling.rej_samp(
@@ -402,16 +403,10 @@ class RunState:
                 draw_cap=self.config.draw_cap - self.draws, **kwargs)
         except QuotaUnreachable as e:
             self.draws += e.draws
+            self.starved.update(e.unmet)
             return e.accepted, list(e.unmet)
         self.draws += draws
         return acc, []
-
-    def stop_if_capped(self, unmet: list[int]):
-        """After a round's recoveries: a target reached still wins, then a
-        cap that left quotas unmet stops the run."""
-        if unmet:
-            self.check_target()
-            raise _DrawCap()
 
     # -- round skeleton -------------------------------------------------------
 
@@ -491,14 +486,13 @@ def phase1_probe(run: RunState) -> bool:
     t1 = threshold_t1(run.config.eps, run.k)
     budget_draws = math.floor(t1) + 1
     for _ in range(budget_draws):
-        run.check_cap()
         try:
-            idx = _sampling.d2_sample_batch(run.sampler, run.rng, 1)
+            idx = _sampling.d2_sample_batch(run.sampler, run.rng, run.room(1))
         except FullyCovered:
             return False
         cl = _oracle.classify_batch(run.session, idx, run.reps)
         run.ingest(idx, cl)
-        if int(cl[0]) not in run.recovered and int(cl[0]) not in run.starved:
+        if int(cl[0]) not in run.recovered:
             return True
     return bool(run.Q())
 
@@ -555,9 +549,8 @@ def _basic_round(run: RunState, log: dict):
     acc, unmet = run.rej_samp([j], {j: ref}, {j: t3}, reps=run.reps,
                               preaccepted={j: pool})
     if unmet:
-        run.starved.add(j)
         log["skipped"].append(j)
-        run.stop_if_capped(unmet)
+        raise _DrawCap()
     run.accepted[j] = acc[j]
     run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
     log["recovered"].append(j)
@@ -618,15 +611,15 @@ def _improved_round(run: RunState, k_guess: int, log: dict) -> bool:
     acc, unmet = run.rej_samp(W, refs, {j: quota for j in W}, reps=run.reps,
                               preaccepted=pools)
     for j in W:
-        pool = acc.get(j, [])
-        run.accepted[j] = pool
         if j in unmet:
-            run.starved.add(j)
             log["skipped"].append(j)
             continue
-        run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
+        run.accepted[j] = acc[j]
+        run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
         log["recovered"].append(j)
-    run.stop_if_capped(unmet)
+    if unmet:
+        run.check_target()
+        raise _DrawCap()
     return bool(run.Q())
 
 
@@ -659,12 +652,11 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
     """
     session = run.session
     while True:
-        run.check_cap()
         idx = _sampling.d2_sample_batch(run.sampler, run.rng, _PHASE_CHUNK)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, run.reps)
         stop = _phase2_stop(run, cl, new_firsts)
         upto = len(idx) if stop is None else stop + 1
-        cut = min(upto, run.config.draw_cap - run.draws)
+        cut = run.room(upto)
         run.commit_peeked(idx, cl, costs, new_firsts, cut)
         if cut < upto:
             raise _DrawCap()
@@ -691,7 +683,7 @@ def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
     m = run.L + len(new_firsts)
     live = np.ones(m + 1, dtype=bool)
     live[0] = False
-    live[list(run.recovered | run.starved)] = False
+    live[list(run.recovered)] = False
     counts = np.zeros(m + 1, dtype=np.int64)      # live counts before a segment
     counts[1:run.L + 1] = run.counts[:run.L]
     counts[~live] = 0
@@ -820,9 +812,9 @@ class _ExpEngine:
         return centers
 
     def live(self) -> np.ndarray:
-        """Per discovered cluster: neither recovered nor starved."""
+        """Per discovered cluster: not recovered."""
         live = np.ones(self.run.L, dtype=bool)
-        live[[c - 1 for c in self.run.recovered | self.run.starved]] = False
+        live[[c - 1 for c in self.run.recovered]] = False
         return live
 
     def take(self, limit: int, pick=None) -> tuple[np.ndarray, list[int]]:
@@ -1016,9 +1008,8 @@ def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
     left = math.floor(threshold_t1(run.config.eps, run.k)) + 1
     seen_new = False
     while left:
-        run.check_cap()
         try:
-            cl, _ = engine.take(min(left, run.config.draw_cap - run.draws))
+            cl, _ = engine.take(run.room(left))
         except FullyCovered:
             return seen_new
         seen_new = seen_new or bool(engine.live()[cl - 1].any())
@@ -1042,8 +1033,7 @@ def _experiment_rounds(run: RunState, pick):
         ready = engine.ready(pick)
         size = 32
         while not ready:
-            run.check_cap()
-            _, ready = engine.take(min(size, run.config.draw_cap - run.draws), pick)
+            _, ready = engine.take(run.room(size), pick)
             size = min(2 * size, 2048)
         for j in ready:
             pool = run.accepted[j][:h + 1]
@@ -1055,7 +1045,7 @@ def _experiment_rounds(run: RunState, pick):
 
 # Pick rules. Each maps per-position state, counts[t, c] and pools[t, c]
 # (sample count and uniform pool size of cluster c + 1 after position t)
-# and live[c] (neither recovered nor starved), to ready[t, c]: whether the
+# and live[c] (not recovered), to ready[t, c]: whether the
 # rule, evaluated after position t, recovers cluster c + 1. A row with no
 # ready cluster means the rule does not fire there. Q is the live clusters
 # with samples, and a cluster of Q is heavy when its pool holds strictly
@@ -1113,9 +1103,7 @@ def _uniform_draws(run: RunState):
     n = len(run.X)
     pending: dict[int, list[int]] = {}
     while True:
-        run.check_cap()
-        B = int(min(4096, run.config.draw_cap - run.draws))
-        idx = run.rng.integers(0, n, size=B)
+        idx = run.rng.integers(0, n, size=run.room(4096))
         cl, costs, new_firsts = _oracle.peek_classify(run.session, idx, run.reps)
         cut, events = _uniform_scan(run, cl, h, pending)
         try:

@@ -190,16 +190,6 @@ def reference_point(sample_indices, state: SamplerState) -> int:
     return int(idxs[np.argmin(state.weights[idxs])])
 
 
-def acceptance_probability(state: SamplerState, ref_index: int, x_index: int,
-                           eps: float, accept_scale: float | None = None) -> float:
-    """min(1, scale * w(ref)/w(x)); scale defaults to eps/128 (the analyzed rule)."""
-    scale = (eps / 128.0) if accept_scale is None else accept_scale
-    wx = state.weights[x_index]
-    if wx <= 0.0:
-        return 1.0
-    return min(1.0, scale * state.weights[ref_index] / wx)
-
-
 def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
              T, eps: float, *, rng: np.random.Generator,
              reps: _oracle.Representatives | None = None,
@@ -216,7 +206,10 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
     The implementation processes draws in batches but charges the ledger,
     registers discoveries, and stops exactly where a draw-at-a-time loop
-    would; unused tail draws of the final batch are discarded.
+    would; unused tail draws of the final batch are discarded. No batch
+    size depends on draw_cap: the cap only cuts a batch, so a cap that a
+    pass does not reach leaves the pass as it is. When the cap cuts the
+    pass short of a quota, QuotaUnreachable carries what was accepted.
     """
     W = sorted(W)
     scale = (eps / 128.0) if accept_scale is None else accept_scale
@@ -259,11 +252,12 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
             # Far from the quotas, draw order is irrelevant: take the chunk
             # as multinomial counts and binomial acceptances. A chunk that
             # would finish every quota is discarded and retried smaller, so
-            # only a short draw-ordered tail remains to place the stop.
-            B = int(min(counts_B, draw_cap - draws))
+            # only a short draw-ordered tail remains to place the stop. A
+            # chunk that would pass the cap is discarded too, and the pass
+            # goes on draw-ordered, where the cap cuts a batch.
             done, reason = _rej_counts_chunk(state, session, rng, reps, W,
                                              w_arr, in_w_arr, scale, nd,
-                                             accepted, B)
+                                             accepted, counts_B, draw_cap - draws)
             if done is not None:
                 draws += done
                 gained = sum(q - n for q, n in zip(nd.values(), need().values()))
@@ -272,9 +266,10 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
             if reason == "finishing":
                 counts_B //= 4
                 continue
+            if reason == "cap":
+                counts_capable = False
 
-        B = int(min(max(4096, max_need / max(acc_rate_guess, 1e-6) * 1.5),
-                    2**16, draw_cap - draws))
+        B = int(min(max(4096, max_need / max(acc_rate_guess, 1e-6) * 1.5), 2**16))
         idx = d2_sample_batch(state, rng, B)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, reps)
 
@@ -287,12 +282,13 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
         hit = w_idx[coins < p]
 
         # Earliest draw position by which every quota is filled; a sequential
-        # loop would stop right after it.
+        # loop would stop right after it, or at the cap before it.
         cut = B
         hit_cl = cl[hit]
         if all(int(np.count_nonzero(hit_cl == j)) >= nd[j] for j in W):
             fill_pos = [int(hit[hit_cl == j][nd[j] - 1]) for j in W if nd[j] > 0]
             cut = (max(fill_pos) + 1) if fill_pos else 0
+        cut = min(cut, draw_cap - draws)
         _oracle.commit_classify(session, reps, costs, new_firsts, cut)
         draws += cut
         for pos, j in zip(hit, hit_cl):
@@ -304,13 +300,15 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
 
 def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
-                      scale, nd, accepted, B):
-    """Order-free rejection chunk.
+                      scale, nd, accepted, B, room):
+    """Order-free rejection chunk of B draws, with room draws left under the cap.
 
     Returns (committed draw count, None) on success, or (None, reason) when
     the chunk must instead be taken draw-ordered: "discovery" if an
     undiscovered cluster appeared, "finishing" if the chunk would have
-    filled every quota (the exact stopping draw then matters).
+    filled every quota (the exact stopping draw then matters), "cap" if
+    neither holds but the chunk would pass the cap. The cap is checked
+    last, so it stops only a chunk that an uncapped pass commits.
     """
     if state.total <= 0.0:
         raise FullyCovered("all points coincide with the current centers")
@@ -333,6 +331,8 @@ def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
                           minlength=max(W)).astype(np.int64)
         if all(got[j - 1] >= nd[j] for j in W):
             return None, "finishing"
+    if B > room:
+        return None, "cap"
     session.charge(int((mult * cl).sum()))
     if len(acc_counts):
         pts = sampled[in_w]

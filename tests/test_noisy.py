@@ -332,3 +332,18 @@ class TestNoisyRejReference:
             got = run(budget, cap, False)
             assert got == run(budget, cap, True)
             assert got[0]["stop_reason"] == stop
+
+    def test_cap_inside_rejection_pass_starves_skipped(self):
+        # As in the run above, the cap binds one draw before the last
+        # rejection draw: the last round's pass leaves its quota unmet.
+        ps = three_blobs(size=60)
+
+        def run(cap):
+            return run_noisy(ps, OracleSession(ps.labels, error_prob=0.1, rng_seed=3),
+                             NoisyConfig(p=0.1), eps=1.0, seed=4, draw_cap=cap, target=3)
+
+        res = run(run(10 ** 6).samples_total - 1)
+        skipped = res.per_round[-1]["skipped"]
+        assert skipped
+        assert res.starved == skipped
+        assert (res.stop_reason, res.incomplete) == ("draw_cap", True)

@@ -10,6 +10,7 @@ from samecluster import recovery
 from samecluster import sampling
 from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
+from samecluster.noisy import NoisyConfig, run_noisy
 from samecluster.oracle import BudgetExhausted, OracleSession, classify
 from samecluster.recovery import (
     RecoveryConfig,
@@ -245,7 +246,7 @@ def improved_phase2_reference(run: RunState, trace: list | None = None):
     budget = session.budget
     tracker = _BandTracker({cid: int(run.counts[cid - 1]) for cid in run.Q()})
     label_to_cid = {int(truth[run.reps.rep_point(c)]): c for c in range(1, run.L + 1)}
-    excluded = run.recovered | run.starved
+    excluded = run.recovered
     drawn_x: list[int] = []
     drawn_cid: list[int] = []
     s_now = run.s_total
@@ -676,7 +677,7 @@ class StepEngine:
         if self.trace is not None and L:
             self.trace.append((session.ledger, self.phase, true_cid == 0))
         run.ingest_one(x, cid)
-        if cid not in run.recovered and cid not in run.starved:
+        if cid not in run.recovered:
             ref = self.refs.get(cid)
             w = run.sampler.weights
             self.zero_weight_draws += bool(w[x] <= 0.0)
@@ -693,12 +694,12 @@ def probe_reference(run: RunState, engine: StepEngine) -> bool:
     t1 = threshold_t1(run.config.eps, run.k)
     seen_new = False
     for _ in range(math.floor(t1) + 1):
-        run.check_cap()
+        run.room(1)
         try:
             cid = engine.step()
         except sampling.FullyCovered:
             return seen_new
-        if cid not in run.recovered and cid not in run.starved:
+        if cid not in run.recovered:
             seen_new = True
     return seen_new
 
@@ -741,7 +742,7 @@ def exp_engine_reference(run: RunState, pick, box: dict | None = None):
             return
         engine.phase = "pick"
         while not (ready := pick_ref(run)):
-            run.check_cap()
+            run.room(1)
             engine.step()
         for j in ready:
             pool = run.accepted[j][:h + 1]
@@ -915,9 +916,41 @@ class TestDeterminism:
         assert a.to_payload() == b.to_payload()
 
 
+def _noisy_runner(p: float):
+    def run(X, session, config, target):
+        return run_noisy(X, session, NoisyConfig(p=p), config.eps, seed=config.seed,
+                         draw_cap=config.draw_cap, target=target)
+    return run, p
+
+
+CAP_FIXTURES = {
+    # While rejection sampling sized its batches by the draws left under
+    # the cap, the caps D, D + 1, D + 4096 and 2D (D the draws of the
+    # run) each moved run_basic here, and the first two run_improved.
+    "three": (lambda: well_separated(sizes=(500, 350, 250)), dict(eps=1.0, seed=3), 3),
+    "skewed": (lambda: blobs([(0.0, 0.0), (7.0, 0.0), (0.0, 7.0), (-7.0, -2.0), (5.0, 8.0)],
+                             [200, 100, 50, 25, 12], 0.4, seed=5),
+               dict(eps=0.5, seed=8, reuse_samples=False), 4),
+    "wide": (lambda: well_separated(sigma=0.3, sizes=(100, 70, 50)), dict(eps=1.0, seed=3), 3),
+    "small": (lambda: well_separated(sizes=(100, 70, 50), seed=2), dict(eps=1.0, seed=3), 3),
+}
+CAP_RUNNERS = {
+    "basic": (run_basic, 0.0), "improved": (run_improved, 0.0),
+    "basic_simplified": (run_basic_simplified, 0.0),
+    "improved_simplified": (run_improved_simplified, 0.0),
+    "uniform": (run_uniform, 0.0),
+    "noisy_p0": _noisy_runner(0.0), "noisy_p0.1": _noisy_runner(0.1),
+}
+# Noisy at p=0.1 has no uncapped run on "three": its first Phase 2
+# doubles q into any cap.
+CAP_CASES = ([(f, r) for f in ("three", "skewed") for r in list(CAP_RUNNERS)[:5]]
+             + [("three", "noisy_p0"), ("wide", "noisy_p0"),
+                ("wide", "noisy_p0.1"), ("small", "noisy_p0.1")])
+
+
 class TestDrawCap:
-    """No run draws more than draw_cap samples, and a cap that stops a run
-    reports "draw_cap" with incomplete=True."""
+    """No run draws more than draw_cap samples, a cap that stops a run
+    reports "draw_cap" with incomplete=True, and a cap only truncates."""
 
     @pytest.mark.parametrize("runner", [run_basic, run_improved])
     def test_theory_phases_stop_at_cap(self, runner):
@@ -939,17 +972,36 @@ class TestDrawCap:
         cfg = RecoveryConfig(eps=1.0, seed=3, draw_cap=10 ** 9)
         full = runner(ps, OracleSession(ps.labels), cfg, target=3)
         assert full.stop_reason == "target"
-        # rej_samp sizes its batches by the draws left under the cap, so a
-        # cap just short of the full run may take another path; it must
-        # still hold.
-        cap = full.samples_total - 1
-        cfg.draw_cap = cap
-        assert runner(ps, OracleSession(ps.labels), cfg, target=3).samples_total <= cap
-        for cap in (0, 1, 5, full.samples_total // 2):
+        for cap in (0, 1, 5, full.samples_total // 2, full.samples_total - 1):
             cfg.draw_cap = cap
             res = runner(ps, OracleSession(ps.labels), cfg, target=3)
             assert res.samples_total <= cap, cap
             assert (res.stop_reason, res.incomplete) == ("draw_cap", True), cap
+            # The cap only truncates: every round the full run completed
+            # within the cap is logged as the full run logged it.
+            for i, entry in enumerate(full.per_round):
+                if entry.get("samples", cap + 1) <= cap:
+                    assert res.per_round[i] == entry, (cap, i)
+
+    @pytest.mark.parametrize("fixture,runner", CAP_CASES,
+                             ids=[f"{f}-{r}" for f, r in CAP_CASES])
+    def test_caps_at_or_above_the_run(self, fixture, runner):
+        """A cap that the run never reaches changes neither its payload
+        nor its ledger."""
+        make, kwargs, target = CAP_FIXTURES[fixture]
+        X = make()
+        run_fn, p = CAP_RUNNERS[runner]
+
+        def run(cap):
+            session = OracleSession(X.labels, error_prob=p, rng_seed=1)
+            res = run_fn(X, session, RecoveryConfig(draw_cap=cap, **kwargs), target)
+            return res.to_payload(), session.ledger
+
+        full = run(10 ** 9)
+        assert full[0]["stop_reason"] == "target"
+        draws = full[0]["samples_total"]
+        for cap in (draws, draws + 1, draws + 4096, 2 * draws):
+            assert run(cap) == full, cap
 
 
 class TestReuseModes:

@@ -7,7 +7,6 @@ from samecluster.sampling import (
     FullyCovered,
     QuotaUnreachable,
     SamplerState,
-    acceptance_probability,
     add_center,
     d2_sample_batch,
     reference_point,
@@ -314,27 +313,6 @@ class TestReferencePoint:
         st = SamplerState(np.zeros((10, 1)))
         st.weights = np.full(10, 3.0)
         assert reference_point([9, 4], st) == 4
-
-
-class TestAcceptanceProbability:
-    def test_hand_value(self):
-        st = SamplerState([[0.0], [1.0]])
-        st.weights = np.array([4.0, 16.0])
-        assert acceptance_probability(st, 0, 1, eps=0.64) == pytest.approx(0.00125)
-
-    def test_clamped_at_one(self):
-        st = SamplerState([[0.0], [1.0]])
-        st.weights = np.array([100.0, 0.5])
-        assert acceptance_probability(st, 0, 1, eps=1.0) == 1.0
-
-    def test_always_in_unit_interval(self):
-        rng = np.random.default_rng(0)
-        st = SamplerState(rng.normal(size=(50, 2)))
-        add_center(st, rng.normal(size=2))
-        for _ in range(200):
-            i, j = rng.integers(0, 50, size=2)
-            p = acceptance_probability(st, int(i), int(j), eps=rng.uniform(0.01, 1.0))
-            assert 0.0 < p <= 1.0
 
 
 def _planted_two_clusters(rng, n_far=20, n_near=100):
