@@ -68,8 +68,7 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
         x = int(x)
         placed = False
         for g, head in zip(groups, heads):
-            agree = sum(1 for z in head if session.same_cluster(x, z))
-            if 2 * agree > len(head):
+            if 2 * sum(session.same_cluster_many(x, head)) > len(head):
                 g.append(x)
                 if len(head) < cap and x not in head:
                     head.append(x)
@@ -82,33 +81,6 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
     survivors = [g for g in groups if len(g) >= cutoff]
     Z = {i + 1: g for i, g in enumerate(survivors)}
     return list(Z), Z
-
-
-def _pass_checker(session: OracleSession, w_reps: Representatives):
-    """check_cluster against w_reps for one rejection pass, majority-voted
-    once per distinct point and charged on every call.
-
-    The first check of x runs check_cluster, which asks its pairs and draws
-    any new flips. Every pair it asked is then fixed (cached, x == z, or an
-    exact answer), so a repeat check would ask the same pairs, get the same
-    answers and charge the same count: a repeat charges that count through
-    session.charge and returns the stored verdict. w_reps must not change
-    while the checker is in use.
-    """
-    verdicts: dict[int, tuple[int, int]] = {}
-
-    def checker(x: int) -> int:
-        hit = verdicts.get(x)
-        if hit is not None:
-            session.charge(hit[1])
-            return hit[0]
-        before = session.ledger
-        got = check_cluster(session, x, w_reps)
-        j = got if got is not None else 0
-        verdicts[x] = (j, session.ledger - before)
-        return j
-
-    return checker
 
 
 def _capped_reps(members, cap: int) -> list[int]:
@@ -192,7 +164,8 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
         w_reps.reps[j] = _capped_reps(groups[j], cap)
 
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
-    acc, unmet = run.rej_samp(W, refs, quota, checker=_pass_checker(session, w_reps))
+    acc, unmet = run.rej_samp(W, refs, quota,
+                              checker=lambda x: check_cluster(session, x, w_reps) or 0)
     retain = max(1, math.ceil(config.retain_cap * k_guess / eps))
     for j in W:
         if j in unmet:

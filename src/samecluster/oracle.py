@@ -104,6 +104,66 @@ class OracleSession:
             self.answer_cache[key] = ans
         return ans
 
+    def same_cluster_many(self, x: int, zs) -> list[bool]:
+        """same_cluster(x, z) for every z of the list zs, in order.
+
+        Answers, ledger, answer_cache and the flip RNG end as the calls one
+        at a time leave them: truth is compared for the whole list at once,
+        the cache is read per pair, and the flips of the pairs not yet
+        answered are drawn as one block, in query order. On an index out of
+        range, or a budget that runs out, the pairs before it are answered
+        and charged first, then the error is raised.
+        """
+        n = len(self.truth)
+        x = int(x)
+        zs = list(zs)
+        za = np.asarray(zs, dtype=np.int64)
+        k = len(zs) if 0 <= x < n else 0
+        bad = np.flatnonzero((za[:k] < 0) | (za[:k] >= n))
+        if len(bad):
+            k = int(bad[0])
+        start = self.ledger
+        try:
+            self.charge(k)
+        finally:
+            k = self.ledger - start         # all k, or what fit under the budget
+            ans = self._answer(x, zs[:k], za[:k])
+        if k < len(zs):
+            raise OracleError(f"point index out of range: ({x}, {zs[k]})")
+        return ans
+
+    def _answer(self, x: int, zs: list, za: np.ndarray) -> list[bool]:
+        """Answers for pairs (x, z) already charged, drawing any new flips.
+
+        zs and za hold the same indices; the cache keys are made of zs's
+        own objects, as same_cluster's are of its arguments.
+        """
+        if not zs:
+            return []
+        ans = (self.truth[za] == self.truth[x]).tolist()
+        if self.exact:
+            return ans
+        cache = self.answer_cache
+        fresh: dict[tuple[int, int], bool] = {}    # unanswered pair -> truth
+        pending = []                                # (position, unanswered pair)
+        for t, z in enumerate(zs):
+            if z == x:
+                continue
+            key = (x, z) if x < z else (z, x)
+            a = cache.get(key)
+            if a is None:
+                fresh[key] = ans[t]
+                pending.append((t, key))
+            else:
+                ans[t] = a
+        if fresh:
+            flips = (self._rng.random(len(fresh)) < self.error_prob).tolist()
+            for (key, truth), f in zip(fresh.items(), flips):
+                cache[key] = truth ^ f
+            for t, key in pending:
+                ans[t] = cache[key]
+        return ans
+
 
 class Representatives:
     """Discovered clusters and their representative points.
@@ -259,14 +319,14 @@ def heuristic_classify(session: OracleSession, x: int, centers, reps: Representa
 
 
 def check_cluster(session: OracleSession, x: int, reps: Representatives,
-                  restrict=None, early_exit: bool = False) -> int | None:
+                  restrict=None) -> int | None:
     """Majority-vote membership test against representative sets Z_i.
 
-    For each candidate cluster i (ascending index order), queries
-    same_cluster(x, z) for every distinct z in Z_i and returns i when
-    strictly more than half of the answers are true. Ties reject. Returns
-    None when no cluster wins a majority. early_exit stops a cluster's
-    scan once ceil(|Z_i|/2) + 1 agreeing answers make the majority certain.
+    For each candidate cluster i (ascending index order), asks
+    same_cluster(x, z) for every distinct z in Z_i, as one
+    session.same_cluster_many call, and returns i when strictly more than
+    half of the answers are true. Ties reject. Returns None when no
+    cluster wins a majority.
 
     The scan is deterministic, so once every pair it asks has an answer
     fixed in the session (cached, x == z, or exact), the verdict and the
@@ -276,14 +336,6 @@ def check_cluster(session: OracleSession, x: int, reps: Representatives,
     candidates = sorted(restrict) if restrict is not None else sorted(reps.reps)
     for i in candidates:
         members = list(dict.fromkeys(reps.members(i)))
-        m = len(members)
-        sure = m // 2 + 1 + (m % 2)  # ceil(m/2) + 1
-        agree = 0
-        for t, z in enumerate(members):
-            if session.same_cluster(x, z):
-                agree += 1
-                if early_exit and agree >= sure:
-                    return i
-        if agree * 2 > m:
+        if 2 * sum(session.same_cluster_many(x, members)) > len(members):
             return i
     return None

@@ -204,6 +204,13 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     `checker(point_index) -> cluster index or 0` callable replaces it for
     the noisy pipeline. Returns ({j: [point indices]}, draws, queries).
 
+    A checker is called once per distinct point of the pass (_rej_walk);
+    every later draw of that point is charged the ledger delta of its first
+    check and gets the same verdict. So a checker must be deterministic for
+    the rest of a pass once it has seen x: the same verdict at the same
+    cost, as check_cluster is once its pairs are answered. rng must then be
+    a PCG64 Generator (np.random.default_rng).
+
     The implementation processes draws in batches but charges the ledger,
     registers discoveries, and stops exactly where a draw-at-a-time loop
     would; unused tail draws of the final batch are discarded. No batch
@@ -226,8 +233,8 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
     queries0 = session.ledger
     if checker is not None:
-        draws = _rej_samp_scalar(state, W, ref_w, scale, quota, accepted,
-                                 rng=rng, checker=checker, draw_cap=draw_cap)
+        draws = _rej_walk(state, W, ref_w, scale, quota, accepted, rng=rng,
+                          checker=checker, session=session, draw_cap=draw_cap)
         return accepted, draws, session.ledger - queries0
 
     draws = 0
@@ -343,23 +350,45 @@ def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
     return B, None
 
 
-def _rej_samp_scalar(state, W, ref_w, scale, quota, accepted, *, rng, checker, draw_cap):
-    """Draw-at-a-time rejection loop for checker-based (noisy) classification.
+_WALK_WORDS = 4096                  # generator words drawn per block of _rej_walk
+_UNIT = 1.0 / 9007199254740992.0    # 2^-53: a 64-bit word's top 53 bits as a double
 
-    Each draw is the scalar form of d2_sample_batch(state, rng, 1)[0] and
-    each W-classified draw is followed by its acceptance coin, so the RNG
-    stream is that of single batched draws with interleaved coins. The
-    weights do not change during the loop, and unmet quotas are counted
-    down as draws are accepted.
+
+def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session, draw_cap):
+    """Rejection loop for checker-based (noisy) classification, over pre-drawn blocks.
+
+    Draws, coins, checker calls, charges and the generator state left behind
+    are those of the loop that, per draw, takes d2_sample_batch(state, rng,
+    1)[0], checks it, and for a W-classified draw takes one rng.random()
+    coin. The weights do not change during the loop, and unmet quotas are
+    counted down as draws are accepted.
+
+    Each block snapshots the generator and draws _WALK_WORDS 64-bit words
+    at once. With centers they are rng.random() doubles, each with its
+    candidate index from one searchsorted; before any center they are raw
+    words, from which _uniform_index replays integers(0, n). A coin is the
+    next word as a double. A block ends at the quota fill, at the cap, or
+    before a draw whose index words leave no word for a coin. On every
+    exit, a raising check included, the generator is rewound to the words
+    used (_rewind). A block that ends before its first draw is drawn again
+    twice as long.
+
+    The first draw of a point x in the walk calls checker(x) and keeps its
+    verdict, its ledger delta and its acceptance probability; a later draw
+    of x charges that delta through session.charge and reuses the rest.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("the rejection walk replays a PCG64 generator's words")
     left = {j: quota[j] - len(accepted[j]) for j in W}
     unmet = sum(1 for v in left.values() if v > 0)
     n = state.n_points
-    weights = state.weights
     uniform = not state.has_centers
-    if not uniform:
-        cs = state.cumsum()
-        top = float(cs[-1])
+    cs = None if uniform else state.cumsum()
+    thresh = (2 ** 32 - n) % n        # Lemire's rejection threshold for integers(0, n)
+    bitgen = rng.bit_generator
+    charge = session.charge
+    verdicts: dict[int, tuple] = {}    # x -> (cluster or 0, ledger delta, p or None)
+    size = _WALK_WORDS
     draws = 0
     while unmet:
         if draws >= draw_cap:
@@ -367,21 +396,93 @@ def _rej_samp_scalar(state, W, ref_w, scale, quota, accepted, *, rng, checker, d
             raise QuotaUnreachable(
                 f"draw cap {draw_cap} reached with quotas unmet for {missing}",
                 accepted=accepted, unmet=missing, draws=draws)
-        if uniform:
-            x = int(rng.integers(0, n))
-        elif state.total <= 0.0:
+        if not uniform and state.total <= 0.0:
             raise FullyCovered("all points coincide with the current centers")
-        else:
-            x = min(int(cs.searchsorted(rng.random() * top, side="right")), n - 1)
-        draws += 1
-        j = checker(x)
-        if j not in ref_w:
-            continue
-        wx = float(weights[x])
-        p = 1.0 if wx <= 0.0 else min(1.0, scale * ref_w[j] / wx)
-        if rng.random() < p:
-            accepted[j].append(x)
-            left[j] -= 1
-            if left[j] == 0:
-                unmet -= 1
+        entry = bitgen.state
+        has32, half = entry["has_uint32"], entry["uinteger"]
+        used, first = 0, draws
+        try:
+            if uniform:
+                words = bitgen.random_raw(size).tolist()
+            else:
+                u = rng.random(size)
+                xs = np.minimum(cs.searchsorted(u * cs[-1], side="right"), n - 1).tolist()
+                coins = u.tolist()
+            end = size - 1                 # a draw leaves the last word for its coin
+            while unmet and draws < draw_cap:
+                if uniform:
+                    got = _uniform_index(words, used, end, has32, half, n, thresh)
+                    if got is None:
+                        break
+                    x, used, has32, half = got
+                elif used < end:
+                    x = xs[used]
+                    used += 1
+                else:
+                    break
+                draws += 1
+                v = verdicts.get(x)
+                if v is None:
+                    before = session.ledger
+                    j = checker(x)
+                    p = None
+                    if j in ref_w:
+                        wx = float(state.weights[x])
+                        p = 1.0 if wx <= 0.0 else min(1.0, scale * ref_w[j] / wx)
+                    v = verdicts[x] = (j, session.ledger - before, p)
+                else:
+                    charge(v[1])
+                if v[2] is None:
+                    continue
+                coin = (words[used] >> 11) * _UNIT if uniform else coins[used]
+                used += 1
+                if coin < v[2]:
+                    j = v[0]
+                    accepted[j].append(x)
+                    left[j] -= 1
+                    if left[j] == 0:
+                        unmet -= 1
+        finally:
+            _rewind(bitgen, entry, used, has32, half)
+        if draws == first and unmet and draws < draw_cap:
+            size *= 2
     return draws
+
+
+def _uniform_index(words, pos, end, has32, half, n, thresh):
+    """Replay one integers(0, n) draw (n <= 2^32) from PCG64 output words.
+
+    numpy takes 32-bit halves r, low half first, keeping the high half
+    buffered (has32, half) for the next; it returns (r n) >> 32 unless
+    the low 32 bits of r n fall below thresh = (2^32 - n) mod n, in which
+    case it takes another half (Lemire, "Fast Random Integer Generation in
+    an Interval", 2019). Returns (x, pos, has32, half) after the draw, or
+    None if it needs the word at end or later, or starts past end. For
+    n = 1 numpy takes no word at all.
+    """
+    if pos > end:
+        return None
+    if n == 1:
+        return 0, pos, has32, half
+    while True:
+        if has32:
+            r, has32 = half, 0
+        elif pos < end:
+            w = words[pos]
+            pos += 1
+            r, half, has32 = w & 0xFFFFFFFF, w >> 32, 1
+        else:
+            return None
+        m = r * n
+        if (m & 0xFFFFFFFF) >= thresh:
+            return m >> 32, pos, has32, half
+
+
+def _rewind(bitgen, entry, used, has32, half):
+    """Set bitgen to its state `entry` advanced by `used` words, with the
+    buffered half-word (has32, half); advance alone clears that buffer."""
+    bitgen.state = entry
+    bitgen.advance(used)
+    st = bitgen.state
+    st["has_uint32"], st["uinteger"] = has32, half
+    bitgen.state = st

@@ -1,9 +1,10 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from samecluster import noisy, sampling
+from samecluster import sampling
 from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
 from samecluster.noisy import NoisyConfig, find_clusters, group_size_cutoff, run_noisy
@@ -165,7 +166,8 @@ def rej_samp_scalar_reference(state, W, ref_w, scale, quota, accepted, *, rng, c
 
     A single batched D2 draw, a checker call and, for a W-classified draw,
     an acceptance coin per draw; the unmet quotas are recomputed every
-    draw. Same signature as sampling._rej_samp_scalar, which must match it.
+    draw. Same signature as sampling._rej_walk less its session (see
+    reference_walk); the walk must match it.
     """
     def need():
         return {j: quota[j] - len(accepted[j]) for j in W}
@@ -187,6 +189,12 @@ def rej_samp_scalar_reference(state, W, ref_w, scale, quota, accepted, *, rng, c
         if rng.random() < p:
             accepted[j].append(x)
     return draws
+
+
+def reference_walk(*args, session, **kwargs):
+    """rej_samp_scalar_reference in sampling._rej_walk's place. It checks
+    every draw, so it needs no session to charge repeats through."""
+    return rej_samp_scalar_reference(*args, **kwargs)
 
 
 def plain_checker(session, w_reps):
@@ -241,15 +249,14 @@ def _run_passes(monkeypatch, fixture, p, reference, budget=None, cap=10 ** 6, tr
     outcomes = []
     with monkeypatch.context() as m:
         if reference:
-            m.setattr(sampling, "_rej_samp_scalar", rej_samp_scalar_reference)
-        make_checker = plain_checker if reference else noisy._pass_checker
+            m.setattr(sampling, "_rej_walk", reference_walk)
         try:
             for k, spec in enumerate(passes):
                 if spec["center"] is not None:
                     add_center(state, spec["center"])
                 w_reps = Representatives(noisy=True)
                 w_reps.reps = {j: list(v) for j, v in spec["members"].items()}
-                checker = make_checker(session, w_reps)
+                checker = plain_checker(session, w_reps)
                 if trace is not None:
                     checker = _traced(checker, session, trace, k)
                 try:
@@ -316,8 +323,7 @@ class TestNoisyRejReference:
             sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=3, budget=budget)
             with monkeypatch.context() as m:
                 if reference:
-                    m.setattr(sampling, "_rej_samp_scalar", rej_samp_scalar_reference)
-                    m.setattr(noisy, "_pass_checker", plain_checker)
+                    m.setattr(sampling, "_rej_walk", reference_walk)
                 res = run_noisy(ps, sess, NoisyConfig(p=0.1), eps=1.0, seed=4,
                                 draw_cap=cap, target=3)
             return (res.to_payload(), sess.ledger, dict(sess.answer_cache),
@@ -347,3 +353,149 @@ class TestNoisyRejReference:
         assert skipped
         assert res.starved == skipped
         assert (res.stop_reason, res.incomplete) == ("draw_cap", True)
+
+
+class _BlockPCG64(np.random.PCG64):
+    """PCG64 that records the size of every random_raw block drawn from it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.blocks = []
+
+    def random_raw(self, size=None, output=True):
+        self.blocks.append(size)
+        return super().random_raw(size, output)
+
+
+class _CoinGenerator(np.random.Generator):
+    """Generator that records every scalar random() it returns."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.coins = []
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        value = super().random(size, dtype, out)
+        if size is None:
+            self.coins.append(value)
+        return value
+
+
+class _Weights(dict):
+    """Point weights by index; a point not listed weighs 1."""
+
+    def __missing__(self, x):
+        return 1.0
+
+
+def _uniform_state(n, weights):
+    """A sampler state of n points and no centers, without n coordinates."""
+    return SimpleNamespace(n_points=n, has_centers=False, weights=weights)
+
+
+def _entry_rng(seed, has_uint32):
+    """A PCG64 Generator whose buffered 32-bit half is set (1) or not (0)."""
+    rng = _CoinGenerator(_BlockPCG64(seed))
+    for _ in range(2 - has_uint32):     # each integers(0, 5) takes one half
+        rng.integers(0, 5)
+    assert rng.bit_generator.state["has_uint32"] == has_uint32
+    return rng
+
+
+class TestWalkWordReplay:
+    def test_uniform_index_replays_integers(self):
+        # Every draw equals Generator.integers(0, n), the halves it takes
+        # leave the generator where integers leaves it, and a draw cut one
+        # word short of the words it needs (its first word or a rejection
+        # word) is refused.
+        rejected = 0
+        for n in (1, 2, 7, 1000, 3 * 2 ** 30, 2 ** 32):
+            thresh = (2 ** 32 - n) % n
+            for has32 in (0, 1):
+                rng = _entry_rng(n + has32, has32)
+                entry = rng.bit_generator.state
+                twin = _BlockPCG64(0)
+                twin.state = entry
+                words = twin.random_raw(3000).tolist()
+                pos, h, b = 0, has32, entry["uinteger"]
+                for _ in range(2000):
+                    x, pos2, h2, b2 = sampling._uniform_index(words, pos, len(words),
+                                                              h, b, n, thresh)
+                    assert x == rng.integers(0, n)
+                    halves = 2 * (pos2 - pos) + h - h2
+                    rejected += halves > 1
+                    if pos2 > pos:
+                        assert sampling._uniform_index(words, pos, pos2 - 1, h, b, n,
+                                                       thresh) is None
+                    pos, h, b = pos2, h2, b2
+                twin.state = entry
+                sampling._rewind(twin, entry, pos, h, b)
+                assert twin.state == rng.bit_generator.state
+        # n = 3 * 2^30 rejects a quarter of its halves.
+        assert 300 < rejected < 1700
+
+    @staticmethod
+    def _uniform_run(monkeypatch, walk, n, has32, words, weights):
+        """One capped walk over n points and no centers, with a verdict
+        hashed from x (about two draws in three take a coin); returns its
+        outcome, the checker's calls, the generator and its coins."""
+        rng = _entry_rng(7 * n + has32, has32)
+        session = OracleSession([0])
+        calls, accepted = [], {1: []}
+
+        def checker(x):
+            calls.append(x)
+            session.charge(1 + x % 3)
+            return 1 if (x * 0x9E3779B97F4A7C15 >> 29) % 3 else 0
+
+        state = _uniform_state(n, weights)
+        with monkeypatch.context() as m:
+            if words is not None:
+                m.setattr(sampling, "_WALK_WORDS", words)
+            with pytest.raises(QuotaUnreachable) as e:
+                walk(state, [1], {1: 1.0}, 1.0, {1: 10 ** 9}, accepted, rng=rng,
+                     checker=checker, session=session, draw_cap=1500)
+        out = (e.value.draws, accepted, list(dict.fromkeys(calls)), session.ledger,
+               rng.bit_generator.state)
+        return out, calls, rng
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 64, None])
+    def test_uniform_walk_matches_reference(self, monkeypatch, words):
+        # Integer draws interleaved with coins, on block sizes that put
+        # draws, coins and rejection words on a block edge, from either
+        # buffered-half entry state. A first reference run records each
+        # point's first coin c; the point's weight 1/c then makes its
+        # acceptance probability c itself where 1/(1/c) == c, so a coin
+        # off by one unit in the last place changes a decision.
+        for n in (5, 3 * 2 ** 30):
+            for has32 in (0, 1):
+                _, calls, rng = self._uniform_run(monkeypatch, reference_walk, n, has32,
+                                                  None, _Weights())
+                coins = iter(rng.coins)
+                first_coin = {}
+                for x in calls:
+                    if (x * 0x9E3779B97F4A7C15 >> 29) % 3:
+                        first_coin.setdefault(x, next(coins))
+                weights = _Weights({x: 1.0 / c for x, c in first_coin.items()})
+                exact = sum(1.0 / w == c for w, c in zip(weights.values(),
+                                                         first_coin.values()))
+                assert exact > len(first_coin) // 2 or n == 5
+                want, _, _ = self._uniform_run(monkeypatch, reference_walk, n, has32,
+                                               words, weights)
+                got, _, rng = self._uniform_run(monkeypatch, sampling._rej_walk, n, has32,
+                                                words, weights)
+                assert got == want
+                assert len(got[1][1]) > 20
+                blocks = rng.bit_generator.blocks
+                if words is not None and words < 5:
+                    assert len(blocks) > 1500 // (4 * words)
+                if words == 1:
+                    assert max(blocks) > 1      # a block too short for a draw doubles
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 7])
+    def test_d2_walk_matches_reference_on_short_blocks(self, monkeypatch, words):
+        for fixture in list(_rej_fixtures())[:2]:
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "_WALK_WORDS", words)
+                got = _run_passes(monkeypatch, fixture, 0.1, False)
+            assert got == _run_passes(monkeypatch, fixture, 0.1, True)

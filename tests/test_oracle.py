@@ -270,6 +270,81 @@ class TestHeuristicClassify:
         assert i == 2 and used == 2
 
 
+class TestSameClusterMany:
+    """same_cluster_many against same_cluster called pair by pair."""
+
+    LABELS = np.random.default_rng(1).integers(0, 3, size=12)
+
+    @staticmethod
+    def _calls(seed, count=40):
+        # Short lists over 12 points, so pairs repeat within and across
+        # calls; about half the lists ask x itself.
+        rng = np.random.default_rng(seed)
+        calls = []
+        for _ in range(count):
+            x = int(rng.integers(0, 12))
+            zs = rng.integers(0, 12, size=int(rng.integers(0, 9))).tolist()
+            if zs and rng.random() < 0.5:
+                zs[int(rng.integers(0, len(zs)))] = x
+            calls.append((x, zs))
+        return calls
+
+    def _run(self, p, many, prefix, batch, budget=None):
+        """Ask prefix pair by pair, then batch; returns the batch's answers
+        (or the error type) and the session's ledger, cache and flip RNG."""
+        s = OracleSession(self.LABELS, error_prob=p, rng_seed=5, budget=budget)
+        for x, zs in prefix:
+            for z in zs:
+                s.same_cluster(x, z)
+        x, zs = batch
+        try:
+            got = s.same_cluster_many(x, zs) if many else [s.same_cluster(x, z) for z in zs]
+        except (BudgetExhausted, OracleError) as e:
+            got = type(e)
+        return got, s.ledger, dict(s.answer_cache), s._rng.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+    def test_matches_sequential(self, p):
+        calls = self._calls(2)
+        for k in range(len(calls)):
+            assert self._run(p, True, calls[:k], calls[k]) == \
+                self._run(p, False, calls[:k], calls[k])
+        asked = sum(len(zs) for _, zs in calls)
+        cached = len(self._run(p, True, calls[:-1], calls[-1])[2])
+        assert cached < asked if p else cached == 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+    def test_budget_cut_at_every_position(self, p):
+        prefix = self._calls(3, count=10)
+        start = sum(len(zs) for _, zs in prefix)
+        x, zs = 4, [4, 0, 7, 4, 0, 11, 2, 7]     # x itself, and repeated pairs
+        for c in range(len(zs) + 1):
+            got = self._run(p, True, prefix, (x, zs), budget=start + c)
+            assert got == self._run(p, False, prefix, (x, zs), budget=start + c)
+            assert got[1] == start + c
+            assert (got[0] is BudgetExhausted) == (c < len(zs))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_out_of_range_after_prefix(self, p):
+        prefix = self._calls(4, count=10)
+        start = sum(len(zs) for _, zs in prefix)
+        for c in range(5):
+            for bad in (12, -1):
+                zs = [3, 9, 3, 1, 6]
+                zs[c] = bad
+                # A budget one short cuts before the bad index, as it must.
+                for budget in (None, start + c) + ((start + c - 1,) if c else ()):
+                    got = self._run(p, True, prefix, (3, zs), budget=budget)
+                    assert got == self._run(p, False, prefix, (3, zs), budget=budget)
+                    cut = budget is not None and budget < start + c
+                    assert got[0] is (BudgetExhausted if cut else OracleError)
+                    assert got[1] == start + c - cut
+        for x in (12, -1):
+            got = self._run(p, True, prefix, (x, [1, 2]))
+            assert got == self._run(p, False, prefix, (x, [1, 2]))
+            assert (got[0], got[1]) == (OracleError, start)
+
+
 class TestCheckCluster:
     def _noisy_session_with(self, answers, x, members):
         """Session whose cache is pre-seeded to force given answers."""
@@ -302,14 +377,3 @@ class TestCheckCluster:
         for z in (3, 4):
             s.answer_cache[(0, z)] = False
         assert check_cluster(s, 0, reps, restrict=[1, 2]) is None
-
-    def test_early_exit_same_decision_fewer_queries(self):
-        members = list(range(1, 10))
-        ans = [True] * 9
-        s1 = self._noisy_session_with(ans, 0, members)
-        s2 = self._noisy_session_with(ans, 0, members)
-        reps = Representatives(noisy=True)
-        reps.reps[1] = members
-        assert check_cluster(s1, 0, reps) == 1
-        assert check_cluster(s2, 0, reps, early_exit=True) == 1
-        assert s2.ledger < s1.ledger

@@ -25,6 +25,7 @@ from samecluster.recovery import (
     run_improved_simplified,
     run_uniform,
 )
+from samecluster.synthgen import SynthConfig, generate
 
 
 def three_blobs() -> PointSet:
@@ -211,3 +212,33 @@ def test_payload_pinned(X, name, budget):
     assert got == PINS[name, budget]
     if (name, budget) in NOISE:
         assert noise_state(session) == NOISE[name, budget]
+
+
+# improved_simple at target 30 on practical-shaped sets (n=1e5, K=50, eps
+# 0.5, as the practical benchmark runs it): a round commits its whole heavy
+# batch, so the run passes the target. Each round's recovered list is
+# pinned; a per-recovery target check would stop at 30.
+TARGET_PINS = {
+    (0.0, 1): dict(K_recovered=35, stop_reason="target", queries_total=2182, samples_total=1007,
+                   recovered=[[1, 2, 4, 5, 6, 10, 11, 14, 15, 18, 20],
+                              [3, 12, 13, 16, 19, 22, 24, 26, 27, 29, 32, 34, 43, 45],
+                              [8, 9, 25, 31, 37, 38, 41, 42, 46, 49]]),
+    (0.3, 2): dict(K_recovered=38, stop_reason="target", queries_total=2711, samples_total=1059,
+                   recovered=[[1, 2, 3, 4, 10, 11, 14, 18, 28, 29, 34],
+                              [6, 9, 12, 13, 16, 17, 19, 23, 24, 25, 30, 32, 35, 38, 39, 42],
+                              [5, 7, 15, 20, 26, 31, 36, 37, 41, 45, 46]]),
+}
+
+
+@pytest.mark.parametrize("p_collision,seed", list(TARGET_PINS))
+def test_improved_simple_commits_whole_batch_past_target(p_collision, seed):
+    X, _ = generate(SynthConfig(n=100_000, K=50, p_collision=p_collision, seed=seed))
+    session = OracleSession(X.labels, rng_seed=seed)
+    res = run_improved_simplified(X, session, RecoveryConfig(eps=0.5, seed=seed), target=30)
+    got = dict(K_recovered=res.K_recovered, stop_reason=res.stop_reason,
+               queries_total=res.queries_total, samples_total=res.samples_total,
+               recovered=[r["recovered"] for r in res.per_round])
+    assert got == TARGET_PINS[p_collision, seed]
+    assert res.K_recovered > 30
+    # Only the last round crosses the target.
+    assert sum(len(r) for r in got["recovered"][:-1]) < 30

@@ -368,7 +368,8 @@ class TestRejSamp:
         assert ei.value.unmet == (1,)
 
     def test_batched_matches_scalar_checker_quota_stop(self):
-        # The scalar (checker) path stops exactly at the filling draw.
+        # The checker path stops exactly at the filling draw. It checks each
+        # distinct point once and charges every draw its check's cost.
         rng = np.random.default_rng(4)
         pts, labels = _planted_two_clusters(rng)
         session = OracleSession(labels)
@@ -385,4 +386,5 @@ class TestRejSamp:
             st, session, W=[1], refs={1: 0}, T=5, eps=1.0,
             rng=rng, checker=checker, accept_scale=1.0)
         assert len(accepted[1]) == 5
-        assert draws == len(calls)
+        assert session.ledger == draws
+        assert len(calls) == len(set(calls))
