@@ -633,15 +633,21 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
     Draws come in chunks of _PHASE_CHUNK, each peek-classified and split
     into segments at the first draw of every undiscovered label; q can then
     change inside a segment only when a discovered but unsampled cluster is
-    drawn. Per segment (`_phase2_stop`):
+    drawn. Per segment, `_w_bounds` bounds q and |W| over all its positions
+    from the counts after its first and last draws, and `_phase2_stop`
+    takes one of three outcomes:
 
-    * Interval fast path: counts only grow, and a band index bitlen(T // s)
-      rises with T and falls with s, so the counts after the segment's
-      first and last draws bound every band and heavy flag in between
-      (`_constant_w`). When they pin q and |W|, the stop is the first
-      position with |S| >= f(q) |W|.
-    * Exact fallback: otherwise the (cluster x position) cumulative counts
-      are built and `_heavy_rows` evaluates the rule at every position.
+    * No stop possible: q never falls below its value q0 at the first
+      draw and |W| never below max(1, floor), since a stop needs |W| >= 1;
+      f(q) = 1600 log q ln(10(k+q)) / eps rises with q, and so does its
+      float evaluation, every factor being monotone and positive; and |S|
+      is at most s_end, its value at the segment's last draw. When
+      s_end < f(q0) max(1, floor), no draw of the segment meets the rule,
+      and the segment is skipped.
+    * Pinned: floor == ceiling fixes q and |W| over the segment, so the
+      stop is the first position with |S| >= f(q) |W|.
+    * Open: only then are the (cluster x position) cumulative counts built
+      and `_heavy_rows` evaluates the rule at every position.
 
     Only the prefix through the stop draw is charged, registered and
     ingested. The budget stops the run on the draw where a draw-at-a-time
@@ -672,7 +678,10 @@ def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
     """First position of a peeked chunk at which the Phase-2 rule stops.
 
     Segments start at position 0 and at each first draw of an undiscovered
-    label; see `_improved_phase2` for the fast path and the fallback.
+    label. Each is skipped when its last draw is below the least threshold
+    f(q) |W| any of its positions can have, solved in closed form when
+    `_w_bounds` pins q and |W|, and evaluated draw by draw by `_heavy_rows`
+    otherwise; see `_improved_phase2` for why each outcome is exact.
     """
     eps, k = run.config.eps, run.k
     scale = 1600.0 / eps
@@ -687,27 +696,26 @@ def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
     counts = np.zeros(m + 1, dtype=np.int64)      # live counts before a segment
     counts[1:run.L + 1] = run.counts[:run.L]
     counts[~live] = 0
-    inc = live[cl]
-    totals = int(counts.sum()) + np.cumsum(inc)
     s_before = run.s_total
     cuts = [p for p, _ in new_firsts if p > 0]
     for a, b in zip([0] + cuts, cuts + [len(cl)]):
         seg = cl[a:b]
-        hi = counts + np.bincount(seg[inc[a:b]], minlength=m + 1)
+        hi = counts + np.where(live, np.bincount(seg, minlength=m + 1), 0)
         lo = counts.copy()
-        if inc[a]:
-            lo[cl[a]] += 1
-        qw = _constant_w(lo, hi, int(totals[a]), int(totals[b - 1]))
-        if qw is not None:
-            q, w = qw
-            if w:
-                j = max(a, math.ceil(factor(q) * w) - s_before - 1)
+        if live[seg[0]]:
+            lo[seg[0]] += 1
+        q, floor, ceiling = _w_bounds(lo, hi, int(lo.sum()), int(hi.sum()))
+        if s_before + b < factor(max(q, 1)) * max(1, floor):
+            pass                    # no position of the segment can stop
+        elif floor == ceiling:
+            if floor:
+                j = max(a, math.ceil(factor(q) * floor) - s_before - 1)
                 if j < b:
                     return j
         else:
             ids = np.flatnonzero(hi)
             C = counts[ids, None] + np.cumsum(seg == ids[:, None], axis=1)
-            q, heavy = _heavy_rows(C, totals[a:b])
+            q, heavy = _heavy_rows(C, C.sum(axis=0))
             w = heavy.sum(axis=0)
             f = np.array([factor(v) if v else 0.0 for v in range(int(q.max()) + 1)])
             hit = np.flatnonzero((w > 0) & (s_before + np.arange(a + 1, b + 1) >= f[q] * w))
@@ -745,33 +753,43 @@ def _heavy_rows(C: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, heavy[g, cols]
 
 
-def _constant_w(lo: np.ndarray, hi: np.ndarray, t_lo: int, t_hi: int):
-    """(q, |W|) shared by every position between two count states, or None.
+def _w_bounds(lo: np.ndarray, hi: np.ndarray, t_lo: int, t_hi: int) -> tuple[int, int, int]:
+    """(q, floor, ceiling): q and bounds on |W| between two count states.
 
     lo and hi are the counts after the first and the last position of a
-    range, t_lo and t_hi their totals. Counts only grow in between, and
-    T // s rises with T and falls with s, so a band index lies between
-    bitlen(t_lo // hi) and bitlen(t_hi // lo) and a band sum between its
-    lo and hi sums. When these bounds pin q, every band and every heavy
-    flag, |W| is constant over the range; otherwise the answer is None.
+    range, t_lo and t_hi their totals; q is the number of present clusters
+    at the first position, and q never falls below it in the range. Counts
+    only grow in between, and T // s rises with T and falls with s, so a
+    cluster's band lies between bitlen(t_lo // hi) and bitlen(t_hi // lo)
+    (at least 1, at most the tail L(q) + 1). When q is pinned, a cluster
+    is surely in W when every band it can be in is surely heavy: 3 L(q)
+    times the lo sum of the band's pinned members, plus the cluster's own
+    lo count if it is not pinned there, is at least t_hi. It can be in W
+    when one of its bands can be heavy by the hi sums of every cluster
+    that can be in it, against t_lo. When q is not pinned, L(q) moves and
+    only the floor of 1 holds: some band 1..L+1 always holds at least T/3L
+    of the samples. |W| lies between floor and ceiling at every position,
+    and the range is pinned (q and |W| constant) exactly when they meet.
     """
     present = lo > 0
     q = int(present.sum())
-    if q != int(np.count_nonzero(hi)):
-        return None
+    q_hi = int(np.count_nonzero(hi))
+    if q != q_hi:
+        return q, min(q, 1), q_hi
     if q == 0:
-        return 0, 0
+        return 0, 0, 0
     s_lo, s_hi = lo[present], hi[present]
-    ell = _bitlen(t_lo // s_hi)
-    if not np.array_equal(ell, _bitlen(t_hi // s_lo)):
-        return None
     lb = _l_bands(q)
-    g = np.minimum(ell, lb + 1)
-    heavy = 3 * lb * np.bincount(g, weights=s_lo) >= t_hi
-    light = 3 * lb * np.bincount(g, weights=s_hi) < t_lo
-    if not (heavy | light).all():
-        return None
-    return q, int(heavy[g].sum())
+    g_min = np.minimum(np.maximum(_bitlen(t_lo // s_hi), 1), lb + 1)
+    g_max = np.minimum(_bitlen(t_hi // s_lo), lb + 1)
+    bands = np.arange(lb + 2)
+    can = (g_min[:, None] <= bands) & (bands <= g_max[:, None])
+    pinned = g_min == g_max
+    base = np.bincount(g_min[pinned], weights=s_lo[pinned], minlength=lb + 2)
+    own = np.where(pinned, 0, s_lo)
+    sure = np.where(can, 3 * lb * (base + own[:, None]) >= t_hi, True).all(axis=1)
+    could = can & (3 * lb * (can * s_hi[:, None]).sum(axis=0) >= t_lo)
+    return q, max(1, int(sure.sum())), int(could.any(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from samecluster import sampling
+from samecluster import noisy, sampling
 from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import PointSet
 from samecluster.noisy import NoisyConfig, find_clusters, group_size_cutoff, run_noisy
 from samecluster.oracle import BudgetExhausted, OracleSession, Representatives, check_cluster
-from samecluster.recovery import RecoveryConfig, run_improved
+from samecluster.recovery import RecoveryConfig, RunState, run_improved
 from samecluster.sampling import QuotaUnreachable, SamplerState, add_center
 
 
@@ -117,14 +118,39 @@ class TestRunNoisy:
         assert all(e <= 0.5 for e in res.per_cluster_errors.values())
         assert res.queries_total == sess.ledger
 
-    def test_retention_cap(self):
+    def test_retention_cap(self, monkeypatch):
+        # Each recovered cluster keeps the first ceil(retain_cap K_guess /
+        # eps) distinct members of its group, captured when it is committed.
         ps = three_blobs()
         cfg = NoisyConfig(p=0.1, retain_cap=8)
         sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=7)
+        groups: list[list[int]] = []        # the latest find_clusters groups
+        commits = []                        # (K_guess, retained, groups) per recovery
+        commit = RunState.commit_recovery
+
+        def spy_find_clusters(*args):
+            ids, Z = find_clusters(*args)
+            groups[:] = Z.values()
+            return ids, Z
+
+        def spy_commit(run, cid, center):
+            commits.append((run.logs[-1]["K_guess"], list(run.reps.reps[cid]), list(groups)))
+            return commit(run, cid, center)
+
+        monkeypatch.setattr(noisy, "find_clusters", spy_find_clusters)
+        monkeypatch.setattr(RunState, "commit_recovery", spy_commit)
         res = run_noisy(ps, sess, cfg, eps=0.5, seed=8)
-        # After the run every retained representative set respects the cap
-        # for the final K guess (which never exceeded 4 here).
-        assert res.K_recovered == 3
+        assert res.K_recovered == len(commits) == 3
+        bound = 0
+        for k_guess, retained, round_groups in commits:
+            cap = math.ceil(cfg.retain_cap * k_guess / 0.5)
+            distinct = [list(dict.fromkeys(g)) for g in round_groups]
+            group = next(d for d in distinct if d[0] == retained[0])
+            assert len(retained) <= cap
+            assert retained == group[:len(retained)]
+            assert len(retained) == min(cap, len(group))
+            bound += len(group) > cap
+        assert bound > 0
 
     def test_session_config_mismatch_rejected(self):
         ps = three_blobs(size=50)

@@ -2,6 +2,7 @@ import copy
 import heapq
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,16 +317,45 @@ def _improved_fixtures():
             yield ps, RecoveryConfig(eps=1.0, seed=i, reuse_samples=reuse, draw_cap=10 ** 9)
 
 
+def _spy_segments(monkeypatch) -> list[dict]:
+    """Record each Phase-2 segment's bounds and whether it took the exact path.
+
+    Every `_w_bounds` call opens a segment; a `_heavy_rows` call before the
+    next one marks it exact. An open segment (floor < ceiling) that is not
+    exact was skipped.
+    """
+    segments: list[dict] = []
+    w_bounds, heavy_rows = recovery._w_bounds, recovery._heavy_rows
+
+    def spy_bounds(*args):
+        out = w_bounds(*args)
+        segments.append({"bounds": out, "exact": False})
+        return out
+
+    def spy_heavy(*args):
+        if segments:
+            segments[-1]["exact"] = True
+        return heavy_rows(*args)
+
+    monkeypatch.setattr(recovery, "_w_bounds", spy_bounds)
+    monkeypatch.setattr(recovery, "_heavy_rows", spy_heavy)
+    return segments
+
+
+def _segment_path(seg: dict) -> str:
+    _, floor, ceiling = seg["bounds"]
+    if floor == ceiling:
+        return "pinned"
+    return "exact" if seg["exact"] else "skipped"
+
+
+def _phase2_rule(eps: float, k: int, q: int, w: int) -> float:
+    """The Phase-2 threshold f(q) |W|, rounded as the chunked rule rounds it."""
+    return 1600.0 / eps * log2p(q) * math.log(10.0 * (k + q)) * w
+
+
 class TestPhase2Reference:
     def test_chunked_matches_draw_at_a_time(self, monkeypatch):
-        paths = {"constant": 0, "exact": 0}
-        constant_w = recovery._constant_w
-
-        def counting_constant_w(*args):
-            out = constant_w(*args)
-            paths["exact" if out is None else "constant"] += 1
-            return out
-
         snapshots = []
         chunked = recovery._improved_phase2
 
@@ -333,7 +363,7 @@ class TestPhase2Reference:
             snapshots.append(copy.deepcopy(run))
             return chunked(run)
 
-        monkeypatch.setattr(recovery, "_constant_w", counting_constant_w)
+        segments = _spy_segments(monkeypatch)
         max_discoveries_per_chunk = 0
         budget_cases = {"mid-segment": 0, "discovery draw": 0, "stop draw": 0}
         for ps, cfg in _improved_fixtures():
@@ -366,12 +396,74 @@ class TestPhase2Reference:
                     budget_cases[case] = budget_cases.get(case, 0) + 1
         assert max_discoveries_per_chunk >= 2
         assert min(budget_cases.values()) > 0
-        assert paths["constant"] > 0 and paths["exact"] > 0
+        paths = {"pinned": 0, "skipped": 0, "exact": 0}
+        for seg in segments:
+            paths[_segment_path(seg)] += 1
+        assert min(paths.values()) > 0, paths
+
+    def test_stop_scan_matches_tracker(self, monkeypatch):
+        # Short chunks against a draw-by-draw tracker scan, at every |S|
+        # offset from before the first possible stop to past the chunk. A
+        # large eps puts the thresholds f(q) |W| within a few dozen draws.
+        # Each chunk is also cut to end one draw before, at and one draw
+        # after its stop draw, so segments end next to the stop.
+        rng = np.random.default_rng(17)
+        segments = _spy_segments(monkeypatch)
+        paths = {"pinned": 0, "skipped": 0, "exact": 0}
+        near_stop = tight = 0
+        for _ in range(80):
+            eps = float(rng.choice([400.0, 1600.0, 4000.0]))
+            L = int(rng.integers(1, 7))
+            recovered = {c for c in range(1, L + 1) if rng.random() < 0.2}
+            counts = rng.integers(0, 6, size=L) * (rng.random(L) < 0.7)
+            fresh = int(rng.integers(0, 3))
+            n = int(rng.integers(10, 60))
+            cl = rng.choice(L + fresh, size=n, p=rng.dirichlet(np.full(L + fresh, 0.6))) + 1
+            # Undiscovered ids are numbered L+1, L+2, ... by first appearance.
+            new = [c for c in dict.fromkeys(cl.tolist()) if c > L]
+            cl = np.array([L + 1 + new.index(c) if c > L else c for c in cl.tolist()])
+            firsts = [int(np.argmax(cl == L + 1 + i)) for i in range(len(new))]
+            # Per position: the threshold f(q) |W|, infinite when |W| = 0.
+            tracker = _BandTracker({c: int(counts[c - 1]) for c in range(1, L + 1)
+                                    if c not in recovered})
+            need = []
+            for c in cl.tolist():
+                if c not in recovered:
+                    tracker.add_sample(c)
+                w = tracker.w_count()
+                need.append(_phase2_rule(eps, len(recovered), len(tracker.s), w) if w else math.inf)
+            for s_before in range(0, 80):
+                stop = next((j for j in range(n) if s_before + j + 1 >= need[j]), None)
+                ends = {n} if stop is None else {n} | {e for e in (stop, stop + 1, stop + 2) if 0 < e <= n}
+                for end in sorted(ends):
+                    want = stop if stop is not None and stop < end else None
+                    cuts = [p for p in firsts if 0 < p < end]
+                    run = SimpleNamespace(config=SimpleNamespace(eps=eps), k=len(recovered), L=L,
+                                          recovered=recovered, counts=counts.copy(), s_total=s_before)
+                    segments.clear()
+                    got = recovery._phase2_stop(run, cl[:end], [(p, 0) for p in firsts if p < end])
+                    assert got == want
+                    for a, b, seg in zip([0] + cuts, cuts + [end], segments):
+                        path = _segment_path(seg)
+                        paths[path] += 1
+                        q, floor, _ = seg["bounds"]
+                        least = _phase2_rule(eps, len(recovered), max(q, 1), max(1, floor))
+                        if path != "pinned":
+                            assert (path == "skipped") == (s_before + b < least)
+                        if path != "skipped":
+                            continue
+                        assert stop is None or stop >= b
+                        near_stop += stop is not None and stop - b < 3
+                        # Skips reach the edge: the segment's last draw is
+                        # one short of the least threshold among its draws.
+                        tight += s_before + b + 1 >= min(need[a:b])
+        assert min(paths.values()) > 0, paths
+        assert near_stop > 0 and tight > 0, (paths, near_stop, tight)
 
     def test_band_rules_match_tracker(self):
         # Small counts cross band edges and heavy thresholds often.
         rng = np.random.default_rng(11)
-        pinned = open_ranges = 0
+        cases = {"pinned": 0, "open": 0, "unpinned band, floor >= 2": 0}
         for _ in range(300):
             q0 = int(rng.integers(1, 12))
             base = rng.integers(0, 4, size=q0)
@@ -390,15 +482,37 @@ class TestPhase2Reference:
                 assert q[j] == len(tracker.s)
                 assert (np.flatnonzero(heavy[:, j]) + 1).tolist() == tracker.heavy_members()
                 w.append(tracker.w_count())
+            lb = np.array([_l_bands(v) for v in q])
+            band = np.where(C > 0, np.minimum(ell, lb + 1), 0)
             for _ in range(10):
                 a, b = sorted(int(v) for v in rng.integers(0, len(draws), size=2))
-                got = recovery._constant_w(C[:, a], C[:, b], int(T[a]), int(T[b]))
-                if got is None:
-                    open_ranges += 1
-                    continue
-                pinned += 1
-                assert all(got == (q[j], w[j]) for j in range(a, b + 1))
-        assert pinned > 0 and open_ranges > 0
+                q_lo, floor, ceiling = recovery._w_bounds(C[:, a], C[:, b], int(T[a]), int(T[b]))
+                assert q_lo == q[a]
+                for j in range(a, b + 1):
+                    assert q_lo <= q[j] and floor <= w[j] <= ceiling
+                if floor == ceiling:
+                    cases["pinned"] += 1
+                    assert all((q[j], w[j]) == (q_lo, floor) for j in range(a, b + 1))
+                else:
+                    cases["open"] += 1
+                if q[a] == q[b] and floor >= 2 and not np.array_equal(band[:, a], band[:, b]):
+                    cases["unpinned band, floor >= 2"] += 1
+        assert min(cases.values()) > 0, cases
+
+    def test_bounds_count_own_and_pinned_counts(self):
+        # q = 3, L = 5: cluster 1 sits in band 1, cluster 3 in band 3, and
+        # cluster 2 moves between bands 2 and 3. Band 2 is heavy only by
+        # cluster 2's own count, so all three are in W at every position.
+        lo, hi = np.array([0, 60, 25, 15]), np.array([0, 62, 27, 15])
+        assert recovery._w_bounds(lo, hi, 100, 104) == (3, 3, 3)
+        # Band 4 holds cluster 3's 7 samples: 3 L * 7 = 105 is heavy
+        # against the first total, 100, but not against the last, 106.
+        lo, hi = np.array([0, 60, 33, 7]), np.array([0, 64, 35, 7])
+        q, floor, ceiling = recovery._w_bounds(lo, hi, 100, 106)
+        assert (q, floor, ceiling) == (3, 2, 3)
+        # q grows from 1 to 2: only the floor of one heavy band holds.
+        assert recovery._w_bounds(np.array([0, 5, 0]), np.array([0, 9, 2]), 5, 11) == (1, 1, 2)
+        assert recovery._w_bounds(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 0, 0) == (0, 0, 0)
 
     @pytest.mark.parametrize("fixture", [0, 1])
     def test_whole_run_matches_reference(self, monkeypatch, fixture):
