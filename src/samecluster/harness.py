@@ -261,7 +261,14 @@ def classify_study(X: PointSet, result: RecoveryResult, seed: int = 0):
 
 
 def run_classify_study(plan: ExperimentPlan):
-    """Recover once per algorithm, then histogram classification queries."""
+    """Recover once per algorithm, then histogram classification queries.
+
+    Only the exact-oracle algorithms (the _RUNNERS tags) can be studied:
+    the classifier replays exact same-cluster answers."""
+    other = [a for a in plan.algorithms if a not in _RUNNERS]
+    if other:
+        raise ValueError(f"classify study takes only the exact-oracle algorithms "
+                         f"{list(_RUNNERS)}, not {other}")
     payload = plan.to_payload()
     seeds = trial_seeds(plan.seed, 1)
     records = []

@@ -155,7 +155,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     if not W:
         return False
     # Phase 3: reference point = minimum-weight member of each Z_j.
-    refs = {j: _sampling.reference_point(set(groups[j]), run.sampler) for j in W}
+    refs = {j: _sampling.reference_point(groups[j], run.sampler) for j in W}
     # Phase 4: rejection sampling classified by majority vote over capped
     # representative subsets.
     cap = max(1, math.ceil(config.rep_size_cap * k_guess / eps))

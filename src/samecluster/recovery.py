@@ -36,15 +36,6 @@ _FILL_BATCH = 1 << 21
 _PHASE_CHUNK = 1 << 13
 
 
-def _draw_pvals(sampler: SamplerState) -> np.ndarray:
-    """D2 draw probabilities; uniform before any center exists."""
-    if not sampler.has_centers:
-        return np.full(sampler.n_points, 1.0 / sampler.n_points)
-    if sampler.total <= 0.0:
-        raise FullyCovered("all points coincide with the current centers")
-    return sampler.weights / sampler.total
-
-
 def log2p(x: float) -> float:
     """Base-2 log clamped below at 1; the reading used for all band counts."""
     return max(1.0, math.log2(x))
@@ -64,10 +55,6 @@ def basic_t2(eps: float, k: int, q: int) -> float:
 
 def basic_t3(eps: float, r: int) -> float:
     return 20.0 / eps * r * math.log(10.0 * r) ** 2
-
-
-def improved_phase2_threshold(eps: float, k: int, w: int, q: int) -> float:
-    return 1600.0 * w * log2p(q) * math.log(10.0 * (k + q)) / eps
 
 
 def improved_t2(eps: float, k: int, q: int, w: int) -> float:
@@ -268,35 +255,19 @@ class RunState:
 
     # -- sample ingestion ---------------------------------------------------
 
-    def ingest(self, idx: np.ndarray, cl: np.ndarray):
-        """Record committed classified draws into counts, sums and bitmaps."""
+    def ingest(self, idx: np.ndarray, cl: np.ndarray, mult: np.ndarray | None = None):
+        """Record committed classified draws into counts, sums and bitmaps:
+        point idx[i] of cluster cl[i], drawn mult[i] times (once without mult)."""
         if len(idx) == 0:
             return
         self._ensure_capacity(int(cl.max()))
-        self.counts += np.bincount(cl - 1, minlength=len(self.counts))
+        self.counts += np.bincount(cl - 1, weights=mult,
+                                  minlength=len(self.counts)).astype(np.int64)
         if self.track_sums:
-            np.add.at(self.sums, cl - 1, self.X.points[idx])
+            pts = self.X.points[idx]
+            np.add.at(self.sums, cl - 1, pts if mult is None else pts * mult[:, None])
         self.masks[cl - 1, idx] = True
-        self.s_total += len(idx)
-        self.draws += len(idx)
-
-    def ingest_one(self, x: int, cid: int):
-        self._ensure_capacity(cid)
-        self.counts[cid - 1] += 1
-        self.sums[cid - 1] += self.X.points[x]
-        self.masks[cid - 1, x] = True
-        self.s_total += 1
-        self.draws += 1
-
-    def ingest_counts(self, sampled: np.ndarray, cl: np.ndarray, mult: np.ndarray):
-        """Record draws given as (distinct point, cluster, multiplicity)."""
-        self._ensure_capacity(int(cl.max()))
-        binc = np.bincount(cl - 1, weights=mult, minlength=len(self.counts))
-        self.counts += binc.astype(np.int64)
-        if self.track_sums:
-            np.add.at(self.sums, cl - 1, self.X.points[sampled] * mult[:, None])
-        self.masks[cl - 1, sampled] = True
-        total = int(mult.sum())
+        total = len(idx) if mult is None else int(mult.sum())
         self.s_total += total
         self.draws += total
 
@@ -314,43 +285,33 @@ class RunState:
             raise
         self.ingest(idx[:upto], cl[:upto])
 
-    def _ordered_fill_chunk(self, b: int):
-        idx = _sampling.d2_sample_batch(self.sampler, self.rng, b)
-        cl, costs, new_firsts = _oracle.peek_classify(self.session, idx, self.reps)
-        self.commit_peeked(idx, cl, costs, new_firsts, b)
-
     def draw_classified_fill(self, n: int):
         """Draw n D2-samples, classify in discovery order, commit exactly.
 
-        When no budget is active and a chunk discovers nothing new, the
-        chunk is drawn as multinomial counts (draw order is irrelevant to
-        counts, ledger sums and bitmaps); chunks with discoveries, and all
-        budgeted runs, go through the draw-ordered path. If n would pass
-        the draw cap, only the draws up to the cap are made, then _DrawCap
-        is raised.
+        The draws come in chunks of up to _FILL_BATCH. Without a budget, a
+        chunk is taken as counts (sampling.counts_chunk), since the draw
+        order does not change counts, ledger sums or bitmaps. A chunk that
+        holds an undiscovered cluster, and every chunk of a budgeted run,
+        is drawn again in order (d2_sample_batch, peek_classify,
+        commit_peeked), so that registrations and per-draw costs, and the
+        draw where the budget runs out, are those of a draw-at-a-time run.
+        If n would pass the draw cap, only the draws up to the cap are
+        made, then _DrawCap is raised.
         """
         fits = remaining = self.room(n)
         session = self.session
-        truth = session.truth
         while remaining > 0:
             b = int(min(remaining, _FILL_BATCH))
-            if session.budget is not None:
-                self._ordered_fill_chunk(b)
-                remaining -= b
-                continue
-            counts = self.rng.multinomial(b, _draw_pvals(self.sampler))
-            sampled = np.flatnonzero(counts)
-            rank_arr = self.reps.rank_of_label(session)
-            cl = rank_arr[truth[sampled]]
-            if (cl == 0).any():
-                # Undiscovered cluster present: replay this chunk draw-ordered
-                # so registration and per-draw costs stay sequential-exact.
-                self._ordered_fill_chunk(b)
-                remaining -= b
-                continue
-            mult = counts[sampled].astype(np.int64)
-            session.charge(int((mult * cl).sum()))
-            self.ingest_counts(sampled, cl, mult)
+            got = (_sampling.counts_chunk(self.sampler, session, self.reps, self.rng, b)
+                   if session.budget is None else None)
+            if got is None:
+                idx = _sampling.d2_sample_batch(self.sampler, self.rng, b)
+                cl, costs, new_firsts = _oracle.peek_classify(session, idx, self.reps)
+                self.commit_peeked(idx, cl, costs, new_firsts, b)
+            else:
+                points, clusters, mult = got
+                session.charge(int((mult * clusters).sum()))
+                self.ingest(points, clusters, mult)
             remaining -= b
         if fits < n:
             raise _DrawCap()
@@ -382,10 +343,8 @@ class RunState:
         return fits
 
     def reference_for(self, cid: int) -> int:
-        idxs = np.flatnonzero(self.mask_of(cid))
-        if len(idxs) == 0:
-            raise ValueError(f"no sampled points recorded for cluster {cid}")
-        return int(idxs[np.argmin(self.sampler.weights[idxs])])
+        """The minimum-weight point sampled for cid (sampling.reference_point)."""
+        return _sampling.reference_point(np.flatnonzero(self.mask_of(cid)), self.sampler)
 
     def rej_samp(self, W, refs: dict, T, **kwargs) -> tuple[dict, list[int]]:
         """sampling.rej_samp within the draws left under the cap.
@@ -871,7 +830,7 @@ class _ExpEngine:
         if run.L:
             run.session.charge(run.L)
         cid = run.reps.add_cluster(x)
-        run.ingest_one(x, cid)
+        run.ingest(np.array([x]), np.array([cid]))
         self._pos += 1
         self.refs[cid] = x
         run.rng.random()

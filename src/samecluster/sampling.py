@@ -182,23 +182,54 @@ def _guide_table(cs: np.ndarray, top) -> np.ndarray:
     return np.where(t[:-1] == t[1:], t[:-1], -1)
 
 
+def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
+                 reps: _oracle.Representatives, rng: np.random.Generator, size: int):
+    """`size` D2 draws as counts, classified against `reps` (exact oracle).
+
+    One rng.multinomial over weight/total, or 1/n each before any center.
+    Returns (points, clusters, multiplicities) for the distinct points
+    drawn, in index order; the chunk costs (multiplicities * clusters).sum()
+    queries, charged by the caller. Returns None when a drawn cluster is
+    undiscovered, since its cost and registration depend on the draw order.
+    """
+    if not state.has_centers:
+        pvals = np.full(state.n_points, 1.0 / state.n_points)
+    elif state.total <= 0.0:
+        raise FullyCovered("all points coincide with the current centers")
+    else:
+        pvals = state.weights / state.total
+    counts = rng.multinomial(size, pvals)
+    points = np.flatnonzero(counts)
+    clusters = reps.rank_of_label(session)[session.truth[points]]
+    if (clusters == 0).any():
+        return None
+    return points, clusters, counts[points].astype(np.int64)
+
+
 def reference_point(sample_indices, state: SamplerState) -> int:
     """Minimum-weight sampled point; ties break toward the lowest point index."""
-    idxs = np.unique(np.asarray(list(sample_indices), dtype=np.int64))
+    idxs = np.asarray(sample_indices, dtype=np.int64)
     if len(idxs) == 0:
         raise ValueError("reference_point needs at least one sample")
-    return int(idxs[np.argmin(state.weights[idxs])])
+    w = state.weights[idxs]
+    return int(idxs[w == w.min()].min())
+
+
+def _accept_prob(scale: float, ref_w: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Acceptance probability min(1, scale w(ref) / w(x)) per draw; 1 where w(x) = 0."""
+    p = np.minimum(1.0, scale * ref_w / np.maximum(wx, 1e-300))
+    p[wx <= 0.0] = 1.0
+    return p
 
 
 def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
              T, eps: float, *, rng: np.random.Generator,
              reps: _oracle.Representatives | None = None,
-             checker=None, accept_scale: float | None = None,
-             draw_cap: int = 10**8, preaccepted: dict | None = None):
+             checker=None, draw_cap: int = 10**8, preaccepted: dict | None = None):
     """Rejection sampling: thin D2-draws so accepted points are uniform per cluster.
 
     Draws, classifies, and for clusters j in W accepts a draw x with
-    probability min(1, scale * w(x_j*)/w(x)), looping until every j in W
+    probability min(1, (eps/128) w(x_j*)/w(x)), looping until every j in W
     holds at least its quota (T: one int for all, or a map j -> int).
     Classification is exact-oracle Classify against `reps` by default; a
     `checker(point_index) -> cluster index or 0` callable replaces it for
@@ -211,15 +242,22 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     cost, as check_cluster is once its pairs are answered. rng must then be
     a PCG64 Generator (np.random.default_rng).
 
-    The implementation processes draws in batches but charges the ledger,
-    registers discoveries, and stops exactly where a draw-at-a-time loop
-    would; unused tail draws of the final batch are discarded. No batch
-    size depends on draw_cap: the cap only cuts a batch, so a cap that a
-    pass does not reach leaves the pass as it is. When the cap cuts the
-    pass short of a quota, QuotaUnreachable carries what was accepted.
+    The exact-oracle pass charges the ledger, registers discoveries and
+    stops exactly where a draw-at-a-time loop would. With centers and no
+    budget it takes chunks of 2^22 draws from counts_chunk, with binomial
+    acceptances, since far from the quotas the draw order does not matter.
+    A chunk with an undiscovered cluster is dropped for one draw-ordered
+    batch; one that would fill every quota is retried a quarter the size,
+    down to 8192 draws, so that a short draw-ordered tail places the stop;
+    one that would pass the cap ends the chunks. A draw-ordered batch is
+    committed through the quota-filling draw, or up to the cap, and its
+    tail draws are discarded. No batch size depends on draw_cap: the cap
+    only cuts a batch, so a cap that a pass does not reach leaves the pass
+    as it is. When the cap cuts the pass short of a quota,
+    QuotaUnreachable carries what was accepted.
     """
     W = sorted(W)
-    scale = (eps / 128.0) if accept_scale is None else accept_scale
+    scale = eps / 128.0
     quota = {j: (T[j] if isinstance(T, dict) else int(T)) for j in W}
     accepted: dict[int, list[int]] = {j: list(preaccepted.get(j, [])) if preaccepted else []
                                       for j in W}
@@ -239,8 +277,7 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
     draws = 0
     acc_rate_guess = 0.05
-    counts_capable = session.budget is None and state.has_centers
-    counts_B = 2 ** 22
+    chunk = 2 ** 22 if session.budget is None and state.has_centers else 0
     w_arr = np.zeros(max(W) + 1)
     in_w_arr = np.zeros(max(W) + 2, dtype=bool)
     for j in W:
@@ -253,40 +290,34 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
                 f"draw cap {draw_cap} reached with quotas unmet for {unmet}",
                 accepted=accepted, unmet=unmet, draws=draws)
         nd = need()
-        max_need = max(nd.values())
 
-        if counts_capable and counts_B >= 8192:
-            # Far from the quotas, draw order is irrelevant: take the chunk
-            # as multinomial counts and binomial acceptances. A chunk that
-            # would finish every quota is discarded and retried smaller, so
-            # only a short draw-ordered tail remains to place the stop. A
-            # chunk that would pass the cap is discarded too, and the pass
-            # goes on draw-ordered, where the cap cuts a batch.
-            done, reason = _rej_counts_chunk(state, session, rng, reps, W,
-                                             w_arr, in_w_arr, scale, nd,
-                                             accepted, counts_B, draw_cap - draws)
-            if done is not None:
-                draws += done
-                gained = sum(q - n for q, n in zip(nd.values(), need().values()))
-                acc_rate_guess = max(gained / max(done, 1), 1e-6)
+        got = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
+        if got is not None:
+            pts, cl, mult = got
+            in_w = in_w_arr[np.minimum(cl, len(in_w_arr) - 1)]
+            pts_w, cl_w = pts[in_w], cl[in_w]
+            acc = rng.binomial(mult[in_w], _accept_prob(scale, w_arr[cl_w], state.weights[pts_w]))
+            per_j = np.bincount(cl_w - 1, weights=acc, minlength=max(W))
+            if all(per_j[j - 1] >= nd[j] for j in W):
+                chunk //= 4
                 continue
-            if reason == "finishing":
-                counts_B //= 4
+            if chunk <= draw_cap - draws:
+                session.charge(int((mult * cl).sum()))
+                nz = acc > 0
+                for x, j, c in zip(pts_w[nz], cl_w[nz], acc[nz]):
+                    accepted[int(j)].extend([int(x)] * int(c))
+                draws += chunk
+                acc_rate_guess = max(int(acc.sum()) / chunk, 1e-6)
                 continue
-            if reason == "cap":
-                counts_capable = False
+            chunk = 0
 
-        B = int(min(max(4096, max_need / max(acc_rate_guess, 1e-6) * 1.5), 2**16))
+        B = int(min(max(4096, max(nd.values()) / max(acc_rate_guess, 1e-6) * 1.5), 2**16))
         idx = d2_sample_batch(state, rng, B)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, reps)
 
         w_idx = np.flatnonzero(in_w_arr[np.minimum(cl, len(in_w_arr) - 1)])
         coins = rng.random(len(w_idx))
-        wx = state.weights[idx[w_idx]]
-        refw = w_arr[cl[w_idx]]
-        p = np.minimum(1.0, scale * refw / np.maximum(wx, 1e-300))
-        p[wx <= 0.0] = 1.0
-        hit = w_idx[coins < p]
+        hit = w_idx[coins < _accept_prob(scale, w_arr[cl[w_idx]], state.weights[idx[w_idx]])]
 
         # Earliest draw position by which every quota is filled; a sequential
         # loop would stop right after it, or at the cap before it.
@@ -304,50 +335,6 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
             accepted[int(j)].append(int(idx[pos]))
         acc_rate_guess = max(len(hit) / max(B, 1), 1e-4)
     return accepted, draws, session.ledger - queries0
-
-
-def _rej_counts_chunk(state, session, rng, reps, W, ref_w_arr, in_w_arr,
-                      scale, nd, accepted, B, room):
-    """Order-free rejection chunk of B draws, with room draws left under the cap.
-
-    Returns (committed draw count, None) on success, or (None, reason) when
-    the chunk must instead be taken draw-ordered: "discovery" if an
-    undiscovered cluster appeared, "finishing" if the chunk would have
-    filled every quota (the exact stopping draw then matters), "cap" if
-    neither holds but the chunk would pass the cap. The cap is checked
-    last, so it stops only a chunk that an uncapped pass commits.
-    """
-    if state.total <= 0.0:
-        raise FullyCovered("all points coincide with the current centers")
-    pvals = state.weights / state.total
-    counts = rng.multinomial(B, pvals)
-    sampled = np.flatnonzero(counts)
-    rank_arr = reps.rank_of_label(session)
-    cl = rank_arr[session.truth[sampled]]
-    if (cl == 0).any():
-        return None, "discovery"
-    mult = counts[sampled].astype(np.int64)
-    in_w = in_w_arr[np.minimum(cl, len(in_w_arr) - 1)]
-    acc_counts = np.zeros(int(in_w.sum()), dtype=np.int64)
-    if len(acc_counts):
-        wx = state.weights[sampled[in_w]]
-        p = np.minimum(1.0, scale * ref_w_arr[cl[in_w]] / np.maximum(wx, 1e-300))
-        p[wx <= 0.0] = 1.0
-        acc_counts = rng.binomial(mult[in_w], p)
-        got = np.bincount(cl[in_w] - 1, weights=acc_counts,
-                          minlength=max(W)).astype(np.int64)
-        if all(got[j - 1] >= nd[j] for j in W):
-            return None, "finishing"
-    if B > room:
-        return None, "cap"
-    session.charge(int((mult * cl).sum()))
-    if len(acc_counts):
-        pts = sampled[in_w]
-        cls = cl[in_w]
-        nz = acc_counts > 0
-        for x, j, c in zip(pts[nz], cls[nz], acc_counts[nz]):
-            accepted[int(j)].extend([int(x)] * int(c))
-    return B, None
 
 
 _WALK_WORDS = 4096                  # generator words drawn per block of _rej_walk

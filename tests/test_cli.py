@@ -72,6 +72,16 @@ class TestSweepCommands:
         _, records = read_records_json(out)
         assert records[0].classify_hist
 
+    def test_classify_noisy_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "classify.json"
+        code = run_cli(["classify", "--algo", "noisy", "--noise-p", "0.1",
+                        "--synth", SYNTH, "--trials", "1", "--out", str(out)])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"]["type"] == "ValueError"
+        assert "exact-oracle" in doc["error"]["message"]
+        assert not out.exists()
+
 
 class TestReduceCheck:
     def test_pass_and_fail_exit_codes(self, tmp_path):

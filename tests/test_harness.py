@@ -148,6 +148,15 @@ class TestClassifyStudy:
         assert recs[0].classify_hist
         assert recs[0].correct_fraction == 1.0
 
+    def test_noisy_rejected(self):
+        plan = small_plan("classify_study", algorithms=["improved_simple", "noisy"],
+                          trials=1, noise_p=0.1)
+        with pytest.raises(ValueError, match="exact-oracle") as ei:
+            run_classify_study(plan)
+        assert "'noisy'" in str(ei.value)
+        for tag in ("uniform", "basic", "improved", "improved_simple", "basic_theory"):
+            assert f"'{tag}'" in str(ei.value)
+
 
 class TestCheckReducibility:
     def test_all_recovered_vacuous(self):

@@ -287,8 +287,8 @@ def _run_passes(monkeypatch, fixture, p, reference, budget=None, cap=10 ** 6, tr
                     checker = _traced(checker, session, trace, k)
                 try:
                     acc, draws, queries = sampling.rej_samp(
-                        state, session, spec["W"], spec["refs"], spec["T"], 1.0,
-                        rng=rng, checker=checker, accept_scale=0.1, draw_cap=cap,
+                        state, session, spec["W"], spec["refs"], spec["T"], 12.8,
+                        rng=rng, checker=checker, draw_cap=cap,
                         preaccepted=spec["preaccepted"])
                     outcomes.append(("done", acc, draws, queries))
                 except QuotaUnreachable as e:

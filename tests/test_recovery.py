@@ -790,7 +790,7 @@ class StepEngine:
             cid = true_cid
         if self.trace is not None and L:
             self.trace.append((session.ledger, self.phase, true_cid == 0))
-        run.ingest_one(x, cid)
+        run.ingest(np.array([x]), np.array([cid]))
         if cid not in run.recovered:
             ref = self.refs.get(cid)
             w = run.sampler.weights
@@ -1148,14 +1148,13 @@ class IngestReference:
     def mask(self, cid: int) -> np.ndarray:
         return self.masks.setdefault(cid, np.zeros(self.n, dtype=bool))
 
-    def ingest_counts(self, sampled, cl, mult):
+    def ingest(self, idx, cl, mult=None):
+        if mult is None:
+            mult = np.ones(len(idx), dtype=np.int64)
         for cid in np.unique(cl).tolist():
-            self.mask(cid)[sampled[cl == cid]] = True
+            self.mask(cid)[idx[cl == cid]] = True
             self.counts[cid] = self.counts.get(cid, 0) + int(mult[cl == cid].sum())
         self.s_total += int(mult.sum())
-
-    def ingest(self, idx, cl):
-        self.ingest_counts(idx, cl, np.ones(len(idx), dtype=np.int64))
 
     def reset(self):
         self.masks.clear()
@@ -1164,7 +1163,7 @@ class IngestReference:
 
 
 class TestIngestReference:
-    """ingest, ingest_one and ingest_counts leave the bitmaps, counts and
+    """ingest, with and without multiplicities, leaves the bitmaps, counts and
     sample total of the per-cluster loop, across capacity growth and
     round resets."""
 
@@ -1206,14 +1205,14 @@ class TestIngestReference:
             ref.ingest(idx, cl)
             self.same(run, ref)
             x, cid = int(rng.integers(0, n)), int(rng.integers(1, top + 1))
-            run.ingest_one(x, cid)
+            run.ingest(np.array([x]), np.array([cid]))
             ref.ingest(np.array([x]), np.array([cid]))
             self.same(run, ref)
             sampled = np.unique(rng.integers(0, n, size=25))
             cl = rng.integers(1, top + 1, size=len(sampled))
             mult = rng.integers(1, 4, size=len(sampled))
-            run.ingest_counts(sampled, cl, mult)
-            ref.ingest_counts(sampled, cl, mult)
+            run.ingest(sampled, cl, mult)
+            ref.ingest(sampled, cl, mult)
             self.same(run, ref)
             capacities.add(len(run.counts))
         assert capacities == {8, 16, 32}

@@ -1,8 +1,13 @@
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from samecluster import sampling
 from samecluster.geometry import GeometryError
-from samecluster.oracle import OracleSession, Representatives
+from samecluster.oracle import BudgetExhausted, OracleSession, Representatives
 from samecluster.sampling import (
     FullyCovered,
     QuotaUnreachable,
@@ -383,8 +388,130 @@ class TestRejSamp:
             return int(labels[x])
 
         accepted, draws, _ = rej_samp(
-            st, session, W=[1], refs={1: 0}, T=5, eps=1.0,
-            rng=rng, checker=checker, accept_scale=1.0)
+            st, session, W=[1], refs={1: 0}, T=5, eps=128.0,
+            rng=rng, checker=checker)
         assert len(accepted[1]) == 5
         assert session.ledger == draws
         assert len(calls) == len(set(calls))
+
+
+def _four_blobs():
+    """3000 points in 2-d, four clusters of sizes 1500/800/500/200."""
+    rng = np.random.default_rng(21)
+    centers, sizes = [(0, 0), (4, 0), (0, 5), (6, 6)], [1500, 800, 500, 200]
+    pts = np.vstack([rng.normal(loc=c, scale=0.6, size=(m, 2))
+                     for c, m in zip(centers, sizes)])
+    return pts, np.repeat([1, 2, 3, 4], sizes)
+
+
+def _digest(accepted) -> str:
+    return hashlib.sha256(json.dumps(accepted, sort_keys=True).encode()).hexdigest()[:16]
+
+
+class TestRejSampPin:
+    """The exact-oracle rejection pass, pinned over four passes that share one
+    sampler, generator and representative set (cluster 4 starts undiscovered):
+
+    * "counts": counts chunks, one dropped for a discovery, and chunks that
+      would fill every quota retried a quarter the size, down to the
+      draw-ordered tail;
+    * "cap": a chunk dropped because it would pass the draw cap, then
+      draw-ordered batches up to the cap;
+    * "budgeted" and "budget_binds": a budgeted session, draw-ordered only,
+      one pass filling its quotas and one running out of budget.
+
+    The accepted lists, draws, ledger and generator state are those of the
+    chunk-by-chunk implementation this pass had before counts_chunk
+    existed; the branch counts show which paths each pass took.
+    """
+
+    # name, W, T, draw_cap, budget, preaccepted
+    PASSES = [
+        ("counts", [2, 3], 4000, 10**8, None, None),
+        ("cap", [2, 3, 4], 10**5, 2 * 10**6, None, None),
+        ("budgeted", [2, 3, 4], 300, 10**8, 10**8, {2: [1600]}),
+        ("budget_binds", [3, 4], 10**4, 10**8, 10**5, None),
+    ]
+
+    PINS = {
+        "counts": (("done", {2: 4000, 3: 4441}, 4736710, "91f326b89d861a26"), 14109835,
+                   85483089633304572213769397001234638967),
+        "cap": (("cap", {2: 1768, 3: 1938, 4: 3624}, (2, 3, 4), 2000000, "18125927d1b96f64"),
+                5958154, 245087362427651604724365535901744723551),
+        "budgeted": (("done", {2: 300, 3: 300, 4: 622}, 347946, "2865b2a6063be91a"), 1036907,
+                     238546297622574027125293129348121513418),
+        "budget_binds": (("budget", 33563), 100000,
+                         28122088881860016380155873758425941950),
+    }
+
+    BRANCHES = {
+        "counts": {"discovery": 1, "committed": 9, "finishing": 5},
+        "cap": {"cap": 1},
+        "budgeted": {},
+        "budget_binds": {},
+    }
+
+    @staticmethod
+    def branches(log) -> dict:
+        """Classify each counts chunk by what followed it. A chunk that was
+        kept charged the ledger; a dropped one was retried a quarter the size
+        or, below 8192 draws a chunk, draw-ordered (finishing), or went on
+        draw-ordered at full size (cap)."""
+        seen = Counter()
+        for i, (kind, size, ledger, empty) in enumerate(log):
+            if kind == "ordered":
+                continue
+            nxt = log[i + 1] if i + 1 < len(log) else None
+            if empty:
+                seen["discovery"] += 1
+            elif nxt is None or nxt[2] != ledger:
+                seen["committed"] += 1
+            elif nxt[0] == "counts" or size // 4 < 8192:
+                seen["finishing"] += 1
+            else:
+                seen["cap"] += 1
+        return dict(seen)
+
+    def test_pinned_passes(self, monkeypatch):
+        pts, labels = _four_blobs()
+        st = SamplerState(pts)
+        add_center(st, [0.0, 0.0])
+        rng = np.random.default_rng(5)
+        reps = Representatives()
+        for x in (0, 1500, 2300):
+            reps.add_cluster(x)
+        log, current = [], []
+        counts_chunk, d2 = sampling.counts_chunk, sampling.d2_sample_batch
+
+        def counts_spy(state, session, reps_, rng_, size):
+            got = counts_chunk(state, session, reps_, rng_, size)
+            log.append(("counts", size, session.ledger, got is None))
+            return got
+
+        def d2_spy(state, rng_, size):
+            log.append(("ordered", size, current[-1].ledger, False))
+            return d2(state, rng_, size)
+
+        monkeypatch.setattr(sampling, "counts_chunk", counts_spy)
+        monkeypatch.setattr(sampling, "d2_sample_batch", d2_spy)
+        for name, W, T, cap, budget, pre in self.PASSES:
+            session = OracleSession(labels, budget=budget)
+            current.append(session)
+            log.clear()
+            refs = {j: reference_point(np.flatnonzero(labels == j)[:50], st) for j in W}
+            try:
+                acc, draws, queries = rej_samp(st, session, W, refs, T, 1.0, rng=rng,
+                                               reps=reps, draw_cap=cap, preaccepted=pre)
+                assert queries == session.ledger
+                out = ("done", {j: len(v) for j, v in acc.items()}, draws, _digest(acc))
+            except QuotaUnreachable as e:
+                out = ("cap", {j: len(v) for j, v in e.accepted.items()}, e.unmet, e.draws,
+                       _digest(e.accepted))
+            except BudgetExhausted as e:
+                out = ("budget", e.done)
+            state = rng.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+            assert (out, session.ledger, state["state"]["state"]) == self.PINS[name]
+            assert reps.discovered_count == 4
+            assert self.branches(log) == self.BRANCHES[name]
+            assert any(e[0] == "ordered" for e in log)
