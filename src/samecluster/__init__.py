@@ -24,7 +24,6 @@ from .oracle import (
     Representatives,
     check_cluster,
     classify,
-    heuristic_classify,
 )
 from .recovery import (
     BandPartition,
@@ -51,7 +50,7 @@ from .synthgen import SynthConfig, collision_groups, generate, zipf_sizes
 __all__ = [
     "PointSet", "CenterSet", "cost", "centroid", "centroid_error",
     "OracleSession", "Representatives", "classify",
-    "heuristic_classify", "check_cluster", "BudgetExhausted",
+    "check_cluster", "BudgetExhausted",
     "SamplerState", "add_center",
     "reference_point", "rej_samp", "FullyCovered", "QuotaUnreachable",
     "RecoveryConfig", "RecoveryResult", "BandPartition", "split_bands",

@@ -168,8 +168,9 @@ def _dispatch(args) -> int:
             write_records_json(args.out, plan, records)
         else:
             rows = [{"algorithm": r.algorithm, "x": r.x,
-                     "mean": r.correct_fraction, "sd": 0.0, "trials": 1,
-                     "censored": 0} for r in records]
+                     "mean": (sum(q * c for q, c in r.classify_hist.items())
+                              / sum(r.classify_hist.values())),
+                     "sd": 0.0, "trials": 1, "censored": 0} for r in records]
             write_table_csv(args.out, rows)
         return 0
 

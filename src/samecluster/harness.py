@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from .datasets import DatasetSpec, load
 from .geometry import CenterSet, PointSet, cost
 from .noisy import NoisyConfig, run_noisy
-from .oracle import OracleSession, Representatives, heuristic_classify
+from .oracle import OracleSession, Representatives, distance_ranks, peek_classify
 from .recovery import (
     RecoveryConfig,
     RecoveryResult,
@@ -231,33 +232,42 @@ def run_error_report(plan: ExperimentPlan):
 
 
 def classify_study(X: PointSet, result: RecoveryResult, seed: int = 0):
-    """Push every dataset point through the distance-ordered classifier
-    against the recovered centers; returns (histogram, correct fraction)."""
+    """Push every dataset point, in index order, through distance-ordered
+    Classify against the recovered centers; returns (histogram of queries
+    per point, correct fraction).
+
+    A point asks the open clusters in increasing squared distance to their
+    centers (oracle.distance_ranks); a point of a label not yet discovered
+    pays one query per open cluster and opens a cluster centered on itself.
+    Points go in chunks of about 2^21 center-difference coordinates. The
+    recovered clusters must have distinct truth labels, as those of an
+    exact-oracle run do.
+    """
     if not result.I:
         raise ValueError("classify study needs a completed recovery")
+    rep_points = [result.reps[cid] for cid in result.I]
+    if len(np.unique(X.labels[rep_points])) < len(rep_points):
+        raise ValueError("classify study needs recovered clusters of distinct labels")
     session = OracleSession(X.labels, rng_seed=seed)
     reps = Representatives()
-    centers: dict[int, np.ndarray] = {}
-    for cid in result.I:
-        new = reps.add_cluster(result.reps[cid])
-        centers[new] = np.asarray(result.centers[cid], dtype=np.float64)
-    known_labels = {int(X.labels[reps.rep_point(i)])
-                    for i in range(1, reps.discovered_count + 1)}
-    hist: dict[int, int] = {}
-    correct = 0
-    for x in range(len(X)):
-        L_before = reps.discovered_count
-        i, used = heuristic_classify(session, x, centers, reps,
-                                     point_coords=X.points[x])
-        hist[used] = hist.get(used, 0) + 1
-        if i > L_before:  # freshly opened cluster
-            centers[i] = X.points[x].copy()
-            ok = int(X.labels[x]) not in known_labels
-            known_labels.add(int(X.labels[x]))
-        else:
-            ok = int(X.labels[reps.rep_point(i)]) == int(X.labels[x])
-        correct += ok
-    return hist, correct / len(X)
+    for z in rep_points:
+        reps.add_cluster(z)
+    cl, costs, new_firsts = peek_classify(session, np.arange(len(X)), reps)
+    firsts = np.array([p for p, _ in new_firsts], dtype=np.int64)
+    centers = np.vstack([[result.centers[cid] for cid in result.I], X.points[firsts]])
+    opens = np.concatenate([np.full(len(rep_points), -1), firsts])
+    used = np.empty(len(X), dtype=np.int64)
+    step = max(1, (1 << 21) // centers.size)
+    for a in range(0, len(X), step):
+        t = np.arange(a, min(a + step, len(X)))
+        C = centers - X.points[t, None, :]
+        D = np.einsum("mld,mld->ml", C, C)
+        D[opens >= t[:, None]] = np.inf
+        used[t] = distance_ranks(D, cl[t])
+    used[firsts] = costs[firsts]
+    hist = dict(Counter(used.tolist()))
+    rep_labels = X.labels[np.concatenate([rep_points, firsts])]
+    return hist, int(np.count_nonzero(rep_labels[cl - 1] == X.labels)) / len(X)
 
 
 def run_classify_study(plan: ExperimentPlan):

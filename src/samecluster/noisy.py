@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sampling as _sampling
 from .geometry import PointSet
-from .oracle import OracleSession, Representatives, check_cluster
+from .oracle import OracleSession, Representatives, check_cluster, majority
 from .recovery import (
     RecoveryConfig,
     RecoveryResult,
@@ -68,7 +68,7 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
         x = int(x)
         placed = False
         for g, head in zip(groups, heads):
-            if 2 * sum(session.same_cluster_many(x, head)) > len(head):
+            if majority(session, x, head):
                 g.append(x)
                 if len(head) < cap and x not in head:
                     head.append(x)
@@ -169,13 +169,16 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     retain = max(1, math.ceil(config.retain_cap * k_guess / eps))
     for j in W:
         if j in unmet:
-            log["skipped"].append(j)
             continue
         cid = run.reps.discovered_count + 1
         run.reps.reps[cid] = _capped_reps(groups[j], retain)
         run.commit_recovery(cid, run.X.points[np.asarray(acc[j])].mean(axis=0))
         log["recovered"].append(cid)
     if unmet:
+        # The unmet groups are numbered after the clusters recovered, so
+        # skipped and starved ids never name a cluster of I.
+        L = run.reps.discovered_count
+        log["skipped"].extend(range(L + 1, L + 1 + len(unmet)))
         run.check_target()
         raise _DrawCap()
     return True

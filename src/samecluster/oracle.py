@@ -293,29 +293,25 @@ def commit_classify(session: OracleSession, reps: Representatives,
                 reps.add_cluster(x)
 
 
-def heuristic_classify(session: OracleSession, x: int, centers, reps: Representatives,
-                       point_coords=None) -> tuple[int, int]:
-    """Classify x by querying discovered clusters in order of center distance.
+def distance_ranks(D: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Queries of distance-ordered Classify, for points of discovered clusters.
 
-    centers maps discovered index -> approximate center (every discovered
-    cluster must have one). Returns (cluster index, queries used); a point
-    of an undiscovered cluster uses L queries and opens cluster L+1.
-    Distance ties break toward the lower cluster index.
+    D[t, c] is point t's squared distance to the center of cluster c + 1,
+    +inf for a center that does not exist yet, and own[t] is the point's
+    cluster. Clusters are queried in increasing distance, ties to the
+    lower id, so the query that finds own[t] is 1 plus the number of
+    clusters before it in that order.
     """
-    L = reps.discovered_count
-    if L == 0:
-        return reps.add_cluster(x), 0
-    if point_coords is None:
-        raise OracleError("heuristic_classify needs the coordinates of x")
-    coords = np.asarray(point_coords, dtype=np.float64).ravel()
-    idxs = np.arange(1, L + 1)
-    carr = np.vstack([centers[i] for i in idxs])
-    d2 = np.sum((carr - coords) ** 2, axis=1)
-    order = idxs[np.argsort(d2, kind="stable")]
-    for rank, i in enumerate(order, start=1):
-        if session.same_cluster(x, reps.rep_point(int(i))):
-            return int(i), rank
-    return reps.add_cluster(x), L
+    m, L = D.shape
+    d = D[np.arange(m), own - 1][:, None]
+    below = (D < d) | ((D == d) & (np.arange(L) < own[:, None] - 1))
+    return 1 + below.sum(axis=1)
+
+
+def majority(session: OracleSession, x: int, zs: list) -> bool:
+    """Whether strictly more than half of same_cluster(x, z), z in zs, are
+    true, asked as one session.same_cluster_many call; ties reject."""
+    return 2 * sum(session.same_cluster_many(x, zs)) > len(zs)
 
 
 def check_cluster(session: OracleSession, x: int, reps: Representatives,
@@ -335,7 +331,6 @@ def check_cluster(session: OracleSession, x: int, reps: Representatives,
     """
     candidates = sorted(restrict) if restrict is not None else sorted(reps.reps)
     for i in candidates:
-        members = list(dict.fromkeys(reps.members(i)))
-        if 2 * sum(session.same_cluster_many(x, members)) > len(members):
+        if majority(session, x, list(dict.fromkeys(reps.members(i)))):
             return i
     return None

@@ -203,7 +203,6 @@ class RunState:
         self.reps = Representatives()
         self.I: list[int] = []
         self.recovered: set[int] = set()
-        self.starved: set[int] = set()
         self.centers: dict[int, np.ndarray] = {}
         self.counts = np.zeros(8, dtype=np.int64)       # per discovered id, 1-based
         # Sampled-point bitmaps: row cid - 1 marks the points drawn for cid.
@@ -213,18 +212,12 @@ class RunState:
         self.draws = 0
         self.round = 0
         self.logs: list[dict] = []
-        # Running sample sums for heuristic-classification centers; the
-        # theory variants and the uniform baseline never consult them and
-        # switch the upkeep off.
-        self.track_sums = True
-        self.sums = np.zeros((8, X.dim), dtype=np.float64)
 
     # -- growth helpers -----------------------------------------------------
 
     def _ensure_capacity(self, cid: int):
         while cid > len(self.counts):
             self.counts = np.concatenate([self.counts, np.zeros(len(self.counts), dtype=np.int64)])
-            self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
             self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
 
     def mask_of(self, cid: int) -> np.ndarray:
@@ -247,7 +240,6 @@ class RunState:
     def reset_round_state(self):
         """Theory semantics without sample reuse: Q, S and pools start empty."""
         self.counts[:] = 0
-        self.sums[:] = 0.0
         self.masks[:] = False
         self.accepted = {cid: pool for cid, pool in self.accepted.items()
                          if cid in self.recovered}
@@ -256,16 +248,13 @@ class RunState:
     # -- sample ingestion ---------------------------------------------------
 
     def ingest(self, idx: np.ndarray, cl: np.ndarray, mult: np.ndarray | None = None):
-        """Record committed classified draws into counts, sums and bitmaps:
-        point idx[i] of cluster cl[i], drawn mult[i] times (once without mult)."""
+        """Record committed classified draws into counts and bitmaps: point
+        idx[i] of cluster cl[i], drawn mult[i] times (once without mult)."""
         if len(idx) == 0:
             return
         self._ensure_capacity(int(cl.max()))
         self.counts += np.bincount(cl - 1, weights=mult,
                                   minlength=len(self.counts)).astype(np.int64)
-        if self.track_sums:
-            pts = self.X.points[idx]
-            np.add.at(self.sums, cl - 1, pts if mult is None else pts * mult[:, None])
         self.masks[cl - 1, idx] = True
         total = len(idx) if mult is None else int(mult.sum())
         self.s_total += total
@@ -351,9 +340,10 @@ class RunState:
 
         Returns (pools, unmet). The remainder goes in as it is, 0 included:
         a pass whose carried pools already meet every quota draws nothing.
-        Unmet quotas mean the cap cut the pass. They are recorded as
-        starved; the round records what it completed, then raises _DrawCap
-        unless the target is reached.
+        Unmet quotas mean the cap cut the pass. The round records what it
+        completed and lists the unmet clusters as skipped, which makes them
+        the run's starved clusters, then raises _DrawCap unless the target
+        is reached.
         """
         try:
             acc, draws, _ = _sampling.rej_samp(
@@ -362,7 +352,6 @@ class RunState:
                 draw_cap=self.config.draw_cap - self.draws, **kwargs)
         except QuotaUnreachable as e:
             self.draws += e.draws
-            self.starved.update(e.unmet)
             return e.accepted, list(e.unmet)
         self.draws += draws
         return acc, []
@@ -416,8 +405,8 @@ class RunState:
         res.rounds_total = self.round
         res.per_round = self.logs
         res.stop_reason = stop_reason
-        res.starved = sorted(self.starved)
-        res.incomplete = bool(self.starved) or stop_reason == "draw_cap"
+        res.starved = sorted(j for log in self.logs for j in log["skipped"])
+        res.incomplete = bool(res.starved) or stop_reason == "draw_cap"
         # Single representatives are only trusted under the exact oracle;
         # representative sets are read by majority.
         if self.X.labels is not None and (self.session.exact or self.reps.noisy):
@@ -464,7 +453,6 @@ def run_basic(X: PointSet, session: OracleSession, config: RecoveryConfig,
     """One cluster per round: probe, find the largest new cluster, pick a
     reference point, rejection-sample its quota, recover its centroid."""
     run = RunState(X, session, config, target)
-    run.track_sums = False
     return run.execute("basic", _basic_rounds)
 
 
@@ -523,7 +511,6 @@ def run_improved(X: PointSet, session: OracleSession, config: RecoveryConfig,
                  target: int | None = None) -> RecoveryResult:
     """Band-splitting algorithm with K-doubling; recovers whole heavy bands."""
     run = RunState(X, session, config, target)
-    run.track_sums = False
     return run.execute("improved", k_doubling, phase1_probe, _improved_round)
 
 
@@ -776,6 +763,8 @@ class _ExpEngine:
     def __init__(self, run: RunState):
         self.run = run
         self.refs: dict[int, int] = {}
+        # Running sample sum per discovered cluster, row cid - 1.
+        self.sums = np.zeros((0, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
@@ -783,7 +772,7 @@ class _ExpEngine:
         run = self.run
         L = run.L
         counts = np.maximum(run.counts[:L], 1)
-        centers = run.sums[:L] / counts[:, None]
+        centers = self.sums / counts[:, None]
         for cid in run.recovered:
             centers[cid - 1] = run.centers[cid]
         return centers
@@ -808,34 +797,33 @@ class _ExpEngine:
             self._buf = _sampling.d2_sample_batch(run.sampler, run.rng, 2048)
             self._pos = 0
         xs = self._buf[self._pos:self._pos + limit]
-        L = run.L
-        cl = (run.reps.rank_of_label(run.session)[run.session.truth[xs]] if L
-              else np.zeros(len(xs), dtype=np.int64))
-        new = np.flatnonzero(cl == 0)
-        if len(new) and new[0] == 0:
-            return self._discover(int(xs[0]), pick)
-        if len(new):
-            xs, cl = xs[:new[0]], cl[:new[0]]
+        cl, costs, new_firsts = _oracle.peek_classify(run.session, xs, run.reps)
+        cut = new_firsts[0][0] if new_firsts else len(xs)
+        if cut == 0:
+            return self._discover(xs, cl, costs, new_firsts, pick)
+        xs, cl = xs[:cut], cl[:cut]
         seg = _Segments(cl)
         return self._commit(xs, cl, seg, self._costs(xs, cl, seg), pick)
 
-    def _discover(self, x: int, pick) -> tuple[np.ndarray, list[int]]:
-        """A draw of an undiscovered label, on its own.
+    def _discover(self, xs, cl, costs, new_firsts, pick) -> tuple[np.ndarray, list[int]]:
+        """A draw of an undiscovered label, the first of a peeked block, alone.
 
         It costs one query per discovered cluster and opens a new cluster
         with x as its representative and reference point, so its
         acceptance probability is 1: its coin is drawn and always accepts.
+        The new cluster's sum row starts at zero and adds x, as every
+        later draw adds to it.
         """
         run = self.run
-        if run.L:
-            run.session.charge(run.L)
-        cid = run.reps.add_cluster(x)
-        run.ingest(np.array([x]), np.array([cid]))
+        x, cid = int(xs[0]), int(cl[0])
+        run.commit_peeked(xs, cl, costs, new_firsts, 1)
         self._pos += 1
+        self.sums = np.vstack([self.sums, np.zeros((1, run.X.dim))])
+        self.sums[cid - 1] += run.X.points[x]
         self.refs[cid] = x
         run.rng.random()
         run.accepted.setdefault(cid, []).append(x)
-        return np.array([cid]), (self.ready(pick) if pick is not None else [])
+        return cl[:1], (self.ready(pick) if pick is not None else [])
 
     def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
         """Queries of each draw: the rank of its cluster among the running
@@ -849,7 +837,7 @@ class _ExpEngine:
         m, L = len(xs), run.L
         P = run.X.points[xs]
         ids = seg.ids
-        Z = seg.rows(P, run.sums[ids - 1], 0.0)
+        Z = seg.rows(P, self.sums[ids - 1], 0.0)
         counts = run.counts[ids - 1][:, None] + np.arange(seg.width)
         means = np.cumsum(Z, axis=1) / np.maximum(counts, 1)[:, :, None]
         # Row c of the table is cluster c + 1's center before the block;
@@ -862,10 +850,7 @@ class _ExpEngine:
                                      + np.cumsum(drawn, axis=0) - drawn)
         C = table[index]
         C -= P[:, None, :]
-        D = np.einsum("mld,mld->ml", C, C)
-        own = D[np.arange(m), cl - 1][:, None]
-        below = (D < own) | ((D == own) & (np.arange(L) < cl[:, None] - 1))
-        return 1 + below.sum(axis=1)
+        return _oracle.distance_ranks(np.einsum("mld,mld->ml", C, C), cl)
 
     def _commit(self, xs, cl, seg, costs, pick) -> tuple[np.ndarray, list[int]]:
         """Acceptance, the pick cut, charging and ingestion of one block."""
@@ -914,10 +899,11 @@ class _ExpEngine:
         return cl[:upto], ready
 
     def _ingest(self, xs, cl, hit, live):
-        """Commit draws: counts, sums and masks, then refs and pools."""
+        """Commit draws: counts, masks and sums, then refs and pools."""
         run = self.run
         self._pos += len(xs)
         run.ingest(xs, cl)
+        np.add.at(self.sums, cl - 1, run.X.points[xs])
         mine = live[cl - 1]
         c, x = cl[mine], xs[mine]
         seen = set(c.tolist())
@@ -1005,6 +991,7 @@ def _experiment_rounds(run: RunState, pick):
         log = run.new_round()
         if not run.config.reuse_samples:
             engine.refs.clear()
+            engine.sums[:] = 0.0
         if not _phase1_probe_engine(run, engine):
             return
         ready = engine.ready(pick)
@@ -1071,7 +1058,6 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
     if session.budget is None and target is None:
         raise ValueError("run_uniform needs a query budget or a recovery target")
     run = RunState(X, session, config, target)
-    run.track_sums = False
     return run.execute("uniform", _uniform_draws)
 
 

@@ -200,8 +200,8 @@ def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
         pvals = state.weights / state.total
     counts = rng.multinomial(size, pvals)
     points = np.flatnonzero(counts)
-    clusters = reps.rank_of_label(session)[session.truth[points]]
-    if (clusters == 0).any():
+    clusters, _, new_firsts = _oracle.peek_classify(session, points, reps)
+    if new_firsts:
         return None
     return points, clusters, counts[points].astype(np.int64)
 

@@ -72,6 +72,15 @@ class TestSweepCommands:
         _, records = read_records_json(out)
         assert records[0].classify_hist
 
+    def test_classify_csv_mean_is_queries_per_point(self, tmp_path):
+        out = tmp_path / "classify.csv"
+        code = run_cli(["classify", "--algo", "improved_simple", "--synth",
+                        "n=3000,K=8,p=0.3,seed=1", "--out", str(out)])
+        assert code == 0
+        [row] = read_table_csv(out)
+        # The study's histogram is {1: 2324, 2: 340, 3: 336}.
+        assert row["mean"] == (2324 + 2 * 340 + 3 * 336) / 3000
+
     def test_classify_noisy_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "classify.json"
         code = run_cli(["classify", "--algo", "noisy", "--noise-p", "0.1",

@@ -18,8 +18,15 @@ from samecluster.harness import (
     write_records_json,
     write_table_csv,
 )
-from samecluster.oracle import OracleSession
-from samecluster.recovery import RecoveryConfig, run_improved_simplified
+from samecluster.oracle import OracleSession, Representatives
+from samecluster.recovery import (
+    RecoveryConfig,
+    run_basic,
+    run_basic_simplified,
+    run_improved,
+    run_improved_simplified,
+    run_uniform,
+)
 from samecluster.synthgen import SynthConfig, generate
 
 SMALL = SynthConfig(n=1200, K=4, sigma=0.15, d=4, b=6.0, seed=0)
@@ -122,6 +129,45 @@ class TestAggregate:
         assert rows[0]["trials"] == 1
 
 
+def classify_study_reference(X, result, seed=0):
+    """harness.classify_study one point at a time, on same_cluster queries
+    in order of squared distance to the centers, ties to the lower id."""
+    session = OracleSession(X.labels, rng_seed=seed)
+    reps = Representatives()
+    centers = {}
+    for cid in result.I:
+        centers[reps.add_cluster(result.reps[cid])] = np.asarray(result.centers[cid])
+    known_labels = {int(X.labels[z]) for z in reps.reps.values()}
+    hist, correct = {}, 0
+    for x in range(len(X)):
+        ids = np.arange(1, reps.discovered_count + 1)
+        d2 = np.sum((np.vstack([centers[i] for i in ids]) - X.points[x]) ** 2, axis=1)
+        for used, i in enumerate(ids[np.argsort(d2, kind="stable")].tolist(), start=1):
+            if session.same_cluster(x, reps.rep_point(i)):
+                ok = int(X.labels[reps.rep_point(i)]) == int(X.labels[x])
+                break
+        else:
+            used = len(ids)
+            centers[reps.add_cluster(x)] = X.points[x].copy()
+            ok = int(X.labels[x]) not in known_labels
+            known_labels.add(int(X.labels[x]))
+        hist[used] = hist.get(used, 0) + 1
+        correct += ok
+    return hist, correct / len(X)
+
+
+def _study_fixtures():
+    """A grid-rounded fixture, so that distances tie, with 60 duplicated
+    points, and a 120-dimensional one that the study takes in two chunks."""
+    rng = np.random.default_rng(12)
+    grid, _ = generate(SynthConfig(n=900, K=9, sigma=1.0, d=2, b=6.0, seed=13))
+    dup = rng.integers(0, len(grid), size=60)
+    grid = PointSet(np.vstack([np.round(grid.points * 2) / 2, np.round(grid.points[dup] * 2) / 2]),
+                    labels=np.concatenate([grid.labels, grid.labels[dup]]))
+    wide, _ = generate(SynthConfig(n=2500, K=8, d=120, p_collision=0.3, seed=14))
+    return [grid, wide]
+
+
 class TestClassifyStudy:
     def test_single_cluster_all_one_query(self):
         cfg = SynthConfig(n=500, K=1, sigma=0.1, d=3, seed=3)
@@ -140,6 +186,22 @@ class TestClassifyStudy:
         hist, correct = classify_study(ps, res)
         assert correct == 1.0
         assert hist.get(1, 0) / len(ps) >= 0.9
+
+    def test_matches_point_at_a_time(self):
+        # Every exact runner, full runs and targets below K.
+        runners = {run_uniform: (3, 6), run_basic_simplified: (3, None),
+                   run_improved_simplified: (2, None), run_basic: (2, None),
+                   run_improved: (4, None)}
+        for ps in _study_fixtures():
+            for runner, targets in runners.items():
+                for target in targets:
+                    res = runner(ps, OracleSession(ps.labels),
+                                 RecoveryConfig(eps=1.0, seed=5), target=target)
+                    assert res.I
+                    hist, correct = classify_study(ps, res)
+                    want_hist, want_correct = classify_study_reference(ps, res)
+                    assert list(hist.items()) == list(want_hist.items())
+                    assert type(correct) is float and correct == want_correct
 
     def test_plan_driver(self):
         plan = small_plan("classify_study", algorithms=["improved_simple"],

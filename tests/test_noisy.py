@@ -379,6 +379,10 @@ class TestNoisyRejReference:
         assert skipped
         assert res.starved == skipped
         assert (res.stop_reason, res.incomplete) == ("draw_cap", True)
+        # The starved groups are numbered after the recovered clusters.
+        assert res.I
+        assert not set(res.I) & set(res.starved)
+        assert not set(res.I) & {j for log in res.per_round for j in log["skipped"]}
 
 
 class _BlockPCG64(np.random.PCG64):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from samecluster.geometry import PointSet
+from samecluster.harness import classify_study
 from samecluster.oracle import (
     BudgetExhausted,
     OracleError,
@@ -10,9 +12,10 @@ from samecluster.oracle import (
     classify,
     classify_batch,
     commit_classify,
-    heuristic_classify,
+    distance_ranks,
     peek_classify,
 )
+from samecluster.recovery import RecoveryResult
 
 TRUTH = [1, 1, 2, 2, 2, 3, 3, 2, 5, 5]
 
@@ -222,52 +225,40 @@ class TestClassifyBatch:
 
 
 class TestHeuristicClassify:
-    def setup_method(self):
-        self.pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0],
-                             [0.0, 9.0], [0.1, 9.0]])
-        self.session = OracleSession([1, 1, 2, 2, 3, 3])
-        self.reps = Representatives()
-        for z in (0, 2, 4):
-            self.reps.add_cluster(z)
-        self.centers = {1: self.pts[0], 2: self.pts[2], 3: self.pts[4]}
+    """Distance-ordered Classify: oracle.distance_ranks and, for points of
+    undiscovered labels, harness.classify_study."""
+
+    PTS = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0],
+                    [0.0, 9.0], [0.1, 9.0]])
+    CENTERS = PTS[[0, 2, 4]]
+
+    def ranks(self, x, own, centers=CENTERS):
+        D = np.sum((centers - np.asarray(x)) ** 2, axis=1)[None]
+        return int(distance_ranks(D, np.array([own]))[0])
 
     def test_nearest_first(self):
-        i, used = heuristic_classify(self.session, 1, self.centers, self.reps,
-                                     point_coords=self.pts[1])
-        assert (i, used) == (1, 1)
+        assert self.ranks(self.PTS[1], 1) == 1
 
     def test_rank_of_true_cluster(self):
-        # Point nearer to cluster 1's center than its own cluster 2's.
-        x = np.array([2.0, 0.0])
-        session = OracleSession([1, 1, 2, 2, 3, 3, 2])
-        reps = Representatives()
-        for z in (0, 2, 4):
-            reps.add_cluster(z)
-        i, used = heuristic_classify(session, 6, self.centers, reps, point_coords=x)
-        assert i == 2 and used == 2
+        # A point of cluster 2 nearer to cluster 1's center than its own.
+        assert self.ranks([2.0, 0.0], 2) == 2
 
     def test_new_cluster_uses_L_queries(self):
-        session = OracleSession([1, 1, 2, 2, 3, 3, 9])
-        reps = Representatives()
-        for z in (0, 2, 4):
-            reps.add_cluster(z)
-        before = session.ledger
-        i, used = heuristic_classify(session, 6, self.centers, reps,
-                                     point_coords=[50.0, 50.0])
-        assert i == 4 and used == 3
-        assert session.ledger - before == 3
+        # Point 6 opens a fourth cluster after asking the three open ones;
+        # point 7 then finds it first, by its center at point 6.
+        X = PointSet(np.vstack([self.PTS, [[50.0, 50.0], [50.0, 50.1]]]),
+                     labels=np.array([1, 1, 2, 2, 3, 3, 9, 9]))
+        result = RecoveryResult("basic", 0, I=[1, 2, 3],
+                                centers={1: [0.0, 0.0], 2: [5.0, 0.0], 3: [0.0, 9.0]},
+                                reps={1: 0, 2: 2, 3: 4})
+        hist, correct = classify_study(X, result)
+        assert hist == {1: 7, 3: 1}
+        assert correct == 1.0
 
     def test_tie_breaks_by_index(self):
         # Equidistant to centers 1 and 2; cluster order decides.
-        session = OracleSession([1, 1, 2, 2, 3, 3, 2])
-        reps = Representatives()
-        for z in (0, 2, 4):
-            reps.add_cluster(z)
-        centers = {1: np.array([0.0, 0.0]), 2: np.array([5.0, 0.0]),
-                   3: np.array([0.0, 9.0])}
-        i, used = heuristic_classify(session, 6, centers, reps,
-                                     point_coords=[2.5, 0.0])
-        assert i == 2 and used == 2
+        assert self.ranks([2.5, 0.0], 2) == 2
+        assert self.ranks([2.5, 0.0], 1) == 1
 
 
 class TestSameClusterMany:

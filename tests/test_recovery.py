@@ -738,15 +738,17 @@ class TestUniformReference:
 class StepEngine:
     """The experiment-style engine one draw at a time.
 
-    Same 2048-draw buffer and refill points as recovery._ExpEngine. When
-    trace is a list it receives (ledger after the draw, phase, whether
-    the draw discovered a cluster) for every charged draw; phase is set by
-    the caller.
+    Same 2048-draw buffer and refill points as recovery._ExpEngine, and
+    its own running sample sums, added to by sequential +=. When trace is
+    a list it receives (ledger after the draw, phase, whether the draw
+    discovered a cluster) for every charged draw; phase is set by the
+    caller.
     """
 
     def __init__(self, run: RunState, trace: list | None = None):
         self.run = run
         self.refs: dict[int, int] = {}
+        self.sums = np.zeros((0, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
         self.trace = trace
@@ -757,7 +759,7 @@ class StepEngine:
         run = self.run
         L = run.L
         counts = np.maximum(run.counts[:L], 1)
-        centers = run.sums[:L] / counts[:, None]
+        centers = self.sums / counts[:, None]
         for cid in run.recovered:
             centers[cid - 1] = run.centers[cid]
         return centers
@@ -791,6 +793,9 @@ class StepEngine:
         if self.trace is not None and L:
             self.trace.append((session.ledger, self.phase, true_cid == 0))
         run.ingest(np.array([x]), np.array([cid]))
+        if cid > len(self.sums):
+            self.sums = np.vstack([self.sums, np.zeros((1, run.X.dim))])
+        self.sums[cid - 1] += run.X.points[x]
         if cid not in run.recovered:
             ref = self.refs.get(cid)
             w = run.sampler.weights
@@ -851,6 +856,7 @@ def exp_engine_reference(run: RunState, pick, box: dict | None = None):
         log = run.new_round()
         if not run.config.reuse_samples:
             engine.refs.clear()
+            engine.sums[:] = 0.0
         engine.phase = "probe"
         if not probe_reference(run, engine):
             return
@@ -911,7 +917,7 @@ def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
     run, engine = box["run"], box["engine"]
     L = run.L
     return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
-            engine.refs, run.accepted, run.counts[:L].tolist(), run.sums[:L].tobytes(),
+            engine.refs, run.accepted, run.counts[:L].tolist(), engine.sums.tobytes(),
             np.argwhere(run.masks).tolist())
 
 
