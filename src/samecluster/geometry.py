@@ -34,6 +34,8 @@ class PointSet:
     labels: np.ndarray | None = None
     # (labels, stable argsort of labels, label start offsets), built on first use.
     _by_label: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (points, labels, {label: (mean, cost about the mean)}), filled on use.
+    _truth: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = as_points(self.points)
@@ -73,6 +75,19 @@ class PointSet:
         if label not in range(len(starts) - 1):
             return self.points[:0]
         return self.points[order[starts[int(label)]:starts[int(label) + 1]]]
+
+    def cluster_truth(self, label: int) -> tuple[np.ndarray, float]:
+        """(mean, cost about the mean) of the points labelled `label`, as
+        centroid_error computes them; kept while the points and labels
+        arrays are the same objects."""
+        if self._truth is None or self._truth[0] is not self.points \
+                or self._truth[1] is not self.labels:
+            self._truth = (self.points, self.labels, {})
+        cache = self._truth[2]
+        label = int(label)
+        if label not in cache:
+            cache[label] = _mean_and_cost(self.cluster_points(label))
+        return cache[label]
 
     def true_centroids(self) -> "CenterSet":
         """Centroid of each ground-truth cluster, keyed by label."""
@@ -154,17 +169,23 @@ def centroid(X) -> np.ndarray:
     return pts.mean(axis=0)
 
 
-def centroid_error(cluster_points, mu_hat) -> float:
+def _mean_and_cost(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """(mu, cost(X, mu)) of a point array: its centroid and the cost about it."""
+    mu = centroid(pts)
+    return mu, float(np.sum((pts - mu) ** 2))
+
+
+def centroid_error(cluster_points, mu_hat, truth=None) -> float:
     """Relative excess cost of an approximate centroid over the true one.
 
     (cost(X, mu_hat) - cost(X, mu)) / cost(X, mu).  A degenerate cluster
     (all points identical) reports 0.0 for an exact center and +inf
-    otherwise.
+    otherwise. `truth`, if given, is (mu, cost(X, mu)) for these points,
+    as PointSet.cluster_truth keeps it.
     """
     pts = _point_array(cluster_points)
-    mu = centroid(pts)
+    _, base = _mean_and_cost(pts) if truth is None else truth
     mu_hat = np.asarray(mu_hat, dtype=np.float64).ravel()
-    base = float(np.sum((pts - mu) ** 2))
     approx = float(np.sum((pts - mu_hat) ** 2))
     if base == 0.0:
         return 0.0 if approx == 0.0 else float("inf")

@@ -103,6 +103,7 @@ class TrialRecord:
     per_cluster_errors: dict[int, float] = field(default_factory=dict)
     classify_hist: dict[int, int] = field(default_factory=dict)
     censored: bool = False
+    # classify_study's correct fraction: 1.0 by construction (exact answers).
     correct_fraction: float | None = None
 
     def to_payload(self) -> dict:
@@ -242,6 +243,11 @@ def classify_study(X: PointSet, result: RecoveryResult, seed: int = 0):
     Points go in chunks of about 2^21 center-difference coordinates. The
     recovered clusters must have distinct truth labels, as those of an
     exact-oracle run do.
+
+    The correct fraction is 1.0 by construction: the session replays the
+    exact same-cluster answers, so every point lands in its own label's
+    cluster, and `seed` seeds a generator that the exact session never
+    draws from. What the study measures is the histogram.
     """
     if not result.I:
         raise ValueError("classify study needs a completed recovery")

@@ -416,7 +416,8 @@ class RunState:
                 lab = int(labs[np.argmax(n)])
                 res.truth_labels[cid] = lab
                 res.per_cluster_errors[cid] = centroid_error(
-                    self.X.cluster_points(lab), self.centers[cid])
+                    self.X.cluster_points(lab), self.centers[cid],
+                    truth=self.X.cluster_truth(lab))
         return res
 
 

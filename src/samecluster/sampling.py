@@ -5,6 +5,11 @@ center added so far. Draws are weighted by prefix-sum inversion, sped up by
 a guide table (an indexed inverse-CDF search) that answers most draws
 without a binary search and every draw exactly as the search would; with no
 centers yet, draws are uniform (the standard first-draw convention).
+
+Adding a center lowers the weights it can lower. A float32 screen over a
+scaled (d, n) copy of the points, kept from the second center on, rules
+out most points with a proven error margin; the rest get the exact float64
+update, so the screen changes no weight (add_center).
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ import numpy as np
 
 from . import oracle as _oracle
 from .geometry import GeometryError
+
+_F32_U = 2.0 ** -24             # float32 unit roundoff
+_SCREEN_MAX_DIM = 2 ** 20 - 2   # keeps (d + 2) u at most 1/16
+_SCREEN_MAX_C = 2.0 ** 64       # largest scaled center coordinate the screen takes
 
 
 class FullyCovered(RuntimeError):
@@ -48,7 +57,17 @@ class SamplerState:
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
         self._guide: tuple[np.ndarray, np.ndarray] | None = None   # (cumsum, table)
-        self._sq_norms: np.ndarray | None = None    # ||x||^2, from the second center
+        # add_center's screen. _scale is the power of two s that puts the
+        # largest |x_i s| in [1/2, 1), or 0.0 where the screen is not used
+        # (d above _SCREEN_MAX_DIM, or s outside [2^-500, 2^500]).
+        top = max(self.points.max(initial=0.0), -self.points.min(initial=0.0))
+        e = int(np.frexp(top)[1])
+        self._scale = (2.0 ** -e if -500 <= e <= 500
+                       and self.points.shape[1] <= _SCREEN_MAX_DIM else 0.0)
+        # From the second center: the points times s as a C-contiguous
+        # float32 (d, n) array (4 n d bytes), and fl((1 - delta)/2 ||x s||^2).
+        self._xt: np.ndarray | None = None
+        self._half_sq: np.ndarray | None = None
 
     @property
     def n_points(self) -> int:
@@ -68,27 +87,48 @@ def add_center(state: SamplerState, center) -> SamplerState:
     """Lower each weight to min(weight, ||x - c||^2).
 
     The first center sets every weight to diff/einsum d^2. From the second
-    on, the exact d^2 is computed only for the points whose weight can
-    drop. Every point is bounded first by
+    on, the exact d^2 is computed only for the candidates, the points that
+    a float32 screen cannot show to keep their weight. Candidates get the
+    full-pass formula (diff, einsum, np.minimum), so every weight and the
+    total are bit-identical to a full pass.
 
-        approx = ||x||^2 - 2 x.c + ||c||^2,
+    The screen works in units scaled by s = state._scale: X = x s, C = c s,
+    |X_i| < 1. One unit-stride float32 einsum over the copy state._xt gives
+    D ~ X.C, and a point is skipped when, in float64,
 
-    which costs one pass over the points and no temporary (n, d) array,
-    and a point is a candidate unless approx >= w + 1e-8 (||x||^2 + ||c||^2).
-    Candidates get the full-pass formula (diff, einsum, np.minimum), so
-    every weight and the total are bit-identical to a full pass.
+        D <= (1 - delta)/2 ||X||^2 - w s^2/2 + (1 - delta)/2 ||C||^2 - eta/2,
+        delta = g/(1 - g) + (d + 20) 2^-50,  g = (d + 2) 2^-24,
+        eta = 2^-123 (||C||_1 + 4d),
 
-    Why a skipped point keeps its weight: with S = ||x||^2 + ||c||^2 and
-    unit roundoff u = 2^-53, approx is within about 2(d + 3) u S of the
-    true d^2, and the diff/einsum d^2 within about (d + 2) u d^2 <=
-    2(d + 2) u S of it. A skipped point has w <= approx <= ~2S, so adding
-    the margin rounds off at most about 3 u S. All of these sit far inside
-    the 1e-8 S margin for any d below about 10^7, so a skipped point's
-    computed d^2 is at least w, and np.minimum would have kept w. This
-    holds while the squares neither overflow nor underflow; a NaN in the
-    bound compares False and makes the point a candidate.
+    the first term being state._half_sq and w the point's current weight.
 
-    x.c is an einsum, not a BLAS product: threaded BLAS would
+    Why a skipped point keeps its weight. Let S = ||X||^2 + ||C||^2 and
+    u = 2^-24. Each float32 rounding (a coordinate of X or C, a product, a
+    sum) errs by at most u relative or, in float32's subnormal range, by
+    less than nu = 2^-126 absolute, flush-to-zero included. The inner-
+    product bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1) then gives
+
+        2 |D - X.C| <= g/(1 - g) 2 sum |X_i C_i| + 2.3 nu (||C||_1 + 3d)
+                    <= g/(1 - g) S + eta/2,
+
+    using |X_i| < 1 and |C_i| <= 2^64; the rest of eta covers float64
+    underflow in the test. Rounding the float64 side of the test moves it
+    by at most about (d + 10) 2^-53 S where it can hold (there
+    w s^2 <= 2S + eta/2), and the diff/einsum d^2 is at least
+    (1 - (d + 3) 2^-53) times the exact d^2, with d^2 s^2 <= 2S. So a
+    skipped point has exact
+    d^2 s^2 = S - 2 X.C >= w s^2 + ((d + 20) 2^-50 - (3d + 16) 2^-53) S,
+    its computed d^2 is at least w, and np.minimum would have kept w. This
+    holds while squares of coordinates and distances neither overflow nor
+    underflow in float64; a NaN in the test compares False and makes the
+    point a candidate.
+
+    Every point is a candidate when a scaled center coordinate exceeds
+    2^64 (so that no float32 product or sum can overflow) or the screen is
+    off for the point set (state._scale == 0.0).
+
+    The products are einsums, not BLAS calls: threaded BLAS would
     oversubscribe the cores when several worker processes sample at once.
     """
     c = np.asarray(center, dtype=np.float64).ravel()
@@ -100,13 +140,9 @@ def add_center(state: SamplerState, center) -> SamplerState:
         raise GeometryError("center contains non-finite coordinates")
     points = state.points
     if state.has_centers:
-        if state._sq_norms is None:
-            state._sq_norms = np.einsum("nd,nd->n", points, points)
-        sq = state._sq_norms
-        cc = float(np.einsum("d,d->", c, c))
-        approx = sq - 2.0 * np.einsum("nd,d->n", points, c) + cc
-        idx = np.flatnonzero(~(approx >= state.weights + 1e-8 * (sq + cc)))
-        diff = points[idx] - c
+        idx = _candidates(state, c)
+        diff = points.take(idx, axis=0)     # points[idx], gathered faster
+        diff -= c
         d2 = np.einsum("nd,nd->n", diff, diff)
         state.weights[idx] = np.minimum(state.weights[idx], d2)
     else:
@@ -116,6 +152,34 @@ def add_center(state: SamplerState, center) -> SamplerState:
     state.centers_version += 1
     state._cumsum = None
     return state
+
+
+def _candidates(state: SamplerState, c: np.ndarray):
+    """Indices of the points that add_center's screen keeps for the exact update."""
+    s = state._scale
+    if s == 0.0 or not np.abs(c).max(initial=0.0) <= _SCREEN_MAX_C / s:
+        return np.arange(state.n_points)
+    cs = c * s
+    d = len(c)
+    g = (d + 2) * _F32_U
+    b = (1.0 - g / (1.0 - g) - (d + 20) * 2.0 ** -50) / 2.0
+    if state._xt is None:
+        points, n = state.points, state.n_points
+        xt = state._xt = np.empty((d, n), dtype=np.float32)
+        half_sq = state._half_sq = np.empty(n)
+        step = max(1, (1 << 16) // d)       # rows per block of about 2^16 coordinates
+        for a in range(0, n, step):
+            xs = points[a:a + step] * s
+            xt[:, a:a + step] = xs.T
+            half_sq[a:a + step] = np.einsum("nd,nd->n", xs, xs)
+        half_sq *= b
+    dot = np.einsum("dn,d->n", state._xt, cs.astype(np.float32))
+    eta = 2.0 ** -123 * (float(np.abs(cs).sum()) + 4 * d)
+    with np.errstate(over="ignore"):        # -inf: the point is a candidate
+        thr = state.weights * (-0.5 * s * s)
+    thr += state._half_sq
+    thr += b * float(np.einsum("d,d->", cs, cs)) - eta / 2
+    return np.flatnonzero(~(dot <= thr))
 
 
 def d2_sample_batch(state: SamplerState, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -132,6 +132,26 @@ class TestPointSet:
         assert ps.cluster_points(5).shape == (0, 3)
         assert ps.cluster_points(1).tobytes() == ps.points[ps.labels == 1].tobytes()
 
+    def test_cluster_truth_is_kept_and_exact(self):
+        rng = np.random.default_rng(6)
+        ps = PointSet(rng.normal(size=(400, 3)) * 7.0, labels=rng.integers(1, 6, size=400))
+        for lab in range(1, 6):
+            truth = ps.cluster_truth(lab)
+            assert ps.cluster_truth(np.int64(lab)) is truth
+            for mu_hat in rng.normal(size=(4, 3)):
+                got = centroid_error(ps.cluster_points(lab), mu_hat, truth=truth)
+                assert got == centroid_error(ps.cluster_points(lab), mu_hat)
+
+        def base(lab):
+            pts = ps.points[ps.labels == lab]
+            return float(np.sum((pts - pts.mean(axis=0)) ** 2))
+
+        old = ps.cluster_truth(1)[1]
+        ps.labels = np.where(ps.labels == 2, 1, ps.labels)   # new labels array
+        assert ps.cluster_truth(1)[1] == base(1) != old
+        ps.points = ps.points * 2.0                          # new points array
+        assert ps.cluster_truth(1)[1] == base(1)
+
     def test_cluster_points_need_labels(self):
         with pytest.raises(GeometryError):
             PointSet(np.zeros((2, 2))).cluster_points(1)

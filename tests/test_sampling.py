@@ -65,17 +65,28 @@ def add_center_reference(weights, points, c):
 
 
 class TestAddCenterExact:
-    """The filtered update is bit-equal to the full pass after every center."""
+    """The screened update is bit-equal to the full pass after every center."""
 
     @staticmethod
-    def check(points, centers):
+    def check(points, centers, weights=None):
+        """Add `centers` in turn. `weights(st, c)`, if given, returns the
+        weights to assign between centers, before c is added."""
         st = SamplerState(points)
         w = None
         for c in centers:
+            if weights is not None and w is not None:
+                w = np.asarray(weights(st, c), dtype=np.float64)
+                st.weights = w.copy()
             add_center(st, c)
             w = add_center_reference(w, st.points, c)
             assert st.weights.tobytes() == w.tobytes()
             assert st.total == float(w.sum())
+
+    @staticmethod
+    def just_above(st, c):
+        """Each weight one ulp above the d^2 that c gives it: every point's
+        weight drops, so the screen may skip none."""
+        return np.nextafter(add_center_reference(None, st.points, c), np.inf)
 
     def test_integer_grids_with_ties(self):
         rng = np.random.default_rng(0)
@@ -88,7 +99,8 @@ class TestAddCenterExact:
             rng.shuffle(centers)
             self.check(pts, centers)
 
-    @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1.0, 0.0), (1e8, 0.0), (1.0, 1e8)])
+    @pytest.mark.parametrize("scale, offset", [(1e-8, 0.0), (1.0, 0.0), (1e8, 0.0), (1.0, 1e8),
+                                               (1e-30, 0.0), (1e30, 0.0)])
     def test_scales_and_dimensions(self, scale, offset):
         rng = np.random.default_rng(1)
         for d in (1, 2, 3, 5, 10, 20, 35, 50):
@@ -99,6 +111,103 @@ class TestAddCenterExact:
             centers += [m * scale + offset for m in means]
             centers.append(centers[0])
             self.check(pts, centers)
+            self.check(pts, centers, self.just_above)
+
+    @pytest.mark.parametrize("d", [100, 300, 1000])
+    def test_high_dimensions(self, d):
+        rng = np.random.default_rng(d)
+        means = rng.normal(scale=3.0, size=(4, d))
+        pts = means[rng.integers(0, 4, size=200)] + rng.normal(size=(200, d))
+        centers = [pts[0], means[1], pts[7], means[2], means[1]]
+        self.check(pts, centers)
+        self.check(pts, centers, self.just_above)
+
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-36, 1e-40, 1e-45, 1e-50])
+    def test_tiny_coordinates_beside_large_ones(self, tiny):
+        # Scaled by about 2^-10, the small coordinates and their products
+        # fall into (or below) float32's subnormal range.
+        rng = np.random.default_rng(2)
+        for d in (1, 2, 3):
+            small = rng.uniform(1.0, 4.0, size=(300, d)) * tiny
+            pts = np.vstack([small, np.full((1, d), 1e3), -small[:20]])
+            centers = [pts[i] for i in rng.integers(0, len(pts), size=4)]
+            centers += [small.mean(axis=0), small[:3].mean(axis=0), np.zeros(d)]
+            self.check(pts, centers)
+            self.check(pts, centers, self.just_above)
+            self.check(pts, centers, lambda st, c: rng.permutation(self.just_above(st, c)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rounding_at_its_worst(self, d):
+        # Every coordinate sits just below a float32 rounding midpoint above
+        # 1/2, so the float32 product misses each term x_i c_i by about
+        # 2^-25: the screen's relative margin must cover it.
+        rng = np.random.default_rng(3)
+        k = rng.integers(1, 2 ** 20, size=(400, d))
+        pts = 0.5 + 2.0 ** -25 - k * 2.0 ** -50
+        centers = [pts[i] for i in rng.integers(0, 400, size=6)]
+        centers.append(pts[:50].mean(axis=0))
+        self.check(pts, centers, self.just_above)
+
+    def test_signed_zeros_and_points_on_centers(self):
+        pts = np.array([[0.0, -0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 1.0],
+                        [1.0, -0.0], [3.0, 4.0], [3.0, 4.0]])
+        centers = [[-0.0, 0.0], [3.0, 4.0], [0.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [3.0, 4.0]]
+        self.check(pts, [np.array(c) for c in centers])
+        self.check(pts, [np.array(c) for c in centers], self.just_above)
+
+    @pytest.mark.parametrize("scale", [1e-30, 10.0])
+    def test_weights_assigned_between_centers(self, scale):
+        # At scale 1e-30, w s^2 overflows for the 1e300 weights.
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(500, 4)) * scale
+        centers = [pts[i] for i in range(0, 500, 50)]
+        draws = iter([lambda n: rng.integers(0, 5, size=n) * scale ** 2,
+                      lambda n: rng.exponential(4.0, size=n) * scale ** 2,
+                      lambda n: np.zeros(n),
+                      lambda n: np.full(n, 1e300)] * 3)
+        self.check(pts, centers, lambda st, c: next(draws)(len(pts)))
+
+    def test_far_centers_take_the_exact_path(self):
+        # A center 1e20 times outside the points is past the screen's 2^64
+        # limit on a scaled coordinate; one 1e40 times outside would also
+        # overflow float32. Weights assigned near 1e300 still drop to the
+        # center's d^2.
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(1.0, 2.0, size=(200, 3))
+        for far in (1e40, 1e20):
+            centers = [pts[0], np.full(3, -far), pts[1], np.array([far, -far, 0.0])]
+            self.check(pts, centers, lambda st, c: np.full(len(pts), 1e300))
+            self.check(pts, centers)
+        st = SamplerState(pts)
+        add_center(st, pts[0])
+        assert sampling._candidates(st, np.full(3, -1e20)).tolist() == list(range(200))
+
+    def test_screen_copy(self):
+        rng = np.random.default_rng(6)
+        for top in (1e-140, 3e-30, 0.5, 1.0, 3.0, 1e30, 1e140):
+            pts = rng.uniform(-1.0, 1.0, size=(50, 3)) * top
+            pts[7, 1] = top
+            st = SamplerState(pts)
+            s = st._scale
+            assert np.frexp(s)[0] == 0.5                      # a power of two
+            assert 0.5 <= np.abs(pts * s).max() < 1.0
+            add_center(st, pts[0])
+            assert st._xt is None                             # built at the second center
+            add_center(st, pts[1])
+            assert st._xt.flags.c_contiguous
+            assert st._xt.tobytes() == (pts * s).T.astype(np.float32).tobytes()
+        assert SamplerState(np.full((3, 2), 1e200))._scale == 0.0     # squares overflow
+        assert SamplerState(np.full((3, 2), 1e-200))._scale == 0.0    # squares underflow
+        assert SamplerState(np.zeros((4, 2)))._scale == 1.0
+
+    def test_screen_skips_far_points(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(300, 5))
+        b = rng.normal(size=(200, 5)) + 100.0
+        st = SamplerState(np.vstack([a, b]))
+        add_center(st, a.mean(axis=0))
+        cand = sampling._candidates(st, b.mean(axis=0))
+        assert set(cand.tolist()) == set(range(300, 500))
 
 
 class TestNonFinite:
