@@ -15,7 +15,10 @@ class GeometryError(ValueError):
 
 
 def as_points(points) -> np.ndarray:
-    """Coerce to a float64 (n, d) array, validating finiteness."""
+    """Coerce to a C-contiguous float64 (n, d) array, validating finiteness.
+
+    Row sums then add in one order, over all rows or over gathered ones.
+    """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -23,7 +26,7 @@ def as_points(points) -> np.ndarray:
         raise GeometryError(f"points must be 2-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise GeometryError("points contain non-finite coordinates")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 @dataclass

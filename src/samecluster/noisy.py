@@ -29,19 +29,19 @@ from .recovery import (
 )
 
 
+_C = 8          # the C of the C*K/eps representative subsets
+_C4 = 8         # the C4 of the post-round retention rule
+_C2 = 16.0      # the Phase-2 sample-count constant c2
+
+
 @dataclass
 class NoisyConfig:
     p: float = 0.1
-    rep_size_cap: int = 8        # the C of the C*K/eps representative sizing
-    retain_cap: int = 8          # the C4 of the post-round retention rule
-    c2: float = 16.0             # Phase-2 sample-count constant
     min_cluster_frac: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.p < 0.5):
             raise ValueError(f"oracle error probability must be < 0.5, got {self.p}")
-        if min(self.rep_size_cap, self.retain_cap) < 1:
-            raise ValueError("representative caps must be >= 1")
 
 
 def group_size_cutoff(T: int, min_cluster_frac: float) -> float:
@@ -55,13 +55,13 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
     """Greedy majority-linkage grouping of sampled point indices.
 
     Each sample joins the first existing group in which a strict majority
-    of up to min(|Z|, 2 * rep_size_cap) distinct queried members answers
+    of up to min(|Z|, 2C) distinct queried members answers
     "same"; otherwise it opens a new group. Groups below the size cutoff
     are dropped. Returns (surviving group ids 1..m, {id: member list}).
     Member lists keep duplicates (multiset sizes feed the frequency
     estimates); queries only ever go to distinct members.
     """
-    cap = 2 * config.rep_size_cap
+    cap = 2 * _C
     groups: list[list[int]] = []
     heads: list[list[int]] = []    # first `cap` distinct members per group, in order
     for x in samples:
@@ -134,7 +134,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     q = 1
     while True:
         arg = max(1.0, math.log2((k + q) / eps))
-        T = math.ceil(config.c2 * q * q * arg * arg / (eps * eps))
+        T = math.ceil(_C2 * q * q * arg * arg / (eps * eps))
         if run.room(T) < T:
             raise _DrawCap()
         S = _sampling.d2_sample_batch(run.sampler, run.rng, T)
@@ -158,7 +158,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     refs = {j: _sampling.reference_point(groups[j], run.sampler) for j in W}
     # Phase 4: rejection sampling classified by majority vote over capped
     # representative subsets.
-    cap = max(1, math.ceil(config.rep_size_cap * k_guess / eps))
+    cap = max(1, math.ceil(_C * k_guess / eps))
     w_reps = Representatives(noisy=True)
     for j in W:
         w_reps.reps[j] = _capped_reps(groups[j], cap)
@@ -166,7 +166,7 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
     acc, unmet = run.rej_samp(W, refs, quota,
                               checker=lambda x: check_cluster(session, x, w_reps) or 0)
-    retain = max(1, math.ceil(config.retain_cap * k_guess / eps))
+    retain = max(1, math.ceil(_C4 * k_guess / eps))
     for j in W:
         if j in unmet:
             continue

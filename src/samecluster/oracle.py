@@ -314,8 +314,7 @@ def majority(session: OracleSession, x: int, zs: list) -> bool:
     return 2 * sum(session.same_cluster_many(x, zs)) > len(zs)
 
 
-def check_cluster(session: OracleSession, x: int, reps: Representatives,
-                  restrict=None) -> int | None:
+def check_cluster(session: OracleSession, x: int, reps: Representatives) -> int | None:
     """Majority-vote membership test against representative sets Z_i.
 
     For each candidate cluster i (ascending index order), asks
@@ -329,8 +328,7 @@ def check_cluster(session: OracleSession, x: int, reps: Representatives,
     number of queries it charges are a pure function of those answers:
     a repeated check returns the same result at the same cost.
     """
-    candidates = sorted(restrict) if restrict is not None else sorted(reps.reps)
-    for i in candidates:
+    for i in sorted(reps.reps):
         if majority(session, x, list(dict.fromkeys(reps.members(i)))):
             return i
     return None

@@ -174,10 +174,6 @@ class TargetReached(RuntimeError):
     pass
 
 
-class _RunAborted(RuntimeError):
-    """Internal: no recoverable cluster remains although Q is non-empty."""
-
-
 class _DrawCap(RuntimeError):
     pass
 
@@ -387,8 +383,6 @@ class RunState:
             stop = "budget"
         except _DrawCap:
             stop = "draw_cap"
-        except _RunAborted:
-            stop = "terminated"
         return self.finalize(algorithm, stop)
 
     # -- finalization ---------------------------------------------------------
@@ -407,9 +401,9 @@ class RunState:
         res.stop_reason = stop_reason
         res.starved = sorted(j for log in self.logs for j in log["skipped"])
         res.incomplete = bool(res.starved) or stop_reason == "draw_cap"
-        # Single representatives are only trusted under the exact oracle;
-        # representative sets are read by majority.
-        if self.X.labels is not None and (self.session.exact or self.reps.noisy):
+        # The majority label of the cluster's representatives (the one
+        # representative of an exact run).
+        if self.X.labels is not None:
             for cid in self.I:
                 labs, n = np.unique(self.X.labels[np.asarray(self.reps.members(cid))],
                                     return_counts=True)
@@ -469,19 +463,15 @@ def _basic_rounds(run: RunState):
 def _basic_round(run: RunState, log: dict):
     eps, k = run.config.eps, run.k
     # Phase 2: sample until the dynamic threshold, then take the largest
-    # newly discovered cluster (ties to the lowest index).
+    # newly discovered cluster (ties to the lowest index). Q is non-empty:
+    # the probe found it so, and Phase 2 only adds samples.
     while True:
-        q = len(run.Q())
-        if q == 0:
-            raise _RunAborted()
-        t = basic_phase2_threshold(eps, k, q)
+        t = basic_phase2_threshold(eps, k, len(run.Q()))
         gap = math.floor(t) + 1 - run.s_total
         if gap <= 0:
             break
         run.draw_classified_fill(gap)
     Q = run.Q()
-    if not Q:
-        raise _RunAborted()
     counts = {cid: int(run.counts[cid - 1]) for cid in Q}
     j = min(Q, key=lambda c: (-counts[c], c))
     q_frozen = len(Q)
@@ -543,8 +533,6 @@ def k_doubling(run: RunState, probe, round_):
 def _improved_round(run: RunState, k_guess: int, log: dict) -> bool:
     eps, k = run.config.eps, run.k
     W, q_frozen = _improved_phase2(run)
-    if not W:
-        raise _RunAborted()
     # Phase 3: top up to T2, then pick each cluster's reference point.
     t2 = improved_t2(eps, k, q_frozen, len(W))
     gap = math.floor(t2) + 1 - run.s_total
@@ -615,6 +603,8 @@ def _improved_phase2(run: RunState) -> tuple[list[int], int]:
             raise _DrawCap()
         if stop is not None:
             break
+    # W is non-empty: Q is (the probe found it so), and of the bands
+    # 1..L+1 one holds at least T/(L+1) >= T/(3L) samples.
     Q = np.asarray(run.Q(), dtype=np.int64)
     counts = run.counts[Q - 1]
     _, heavy = _heavy_rows(counts[:, None], np.array([counts.sum()]))

@@ -41,12 +41,13 @@ class QuotaUnreachable(RuntimeError):
 class SamplerState:
     """Per-point weights Phi({x}, C) for the current center set C.
 
-    Weights start at 1.0 with an empty C purely as a placeholder; they only
-    become meaningful (and draws weight-proportional) once add_center runs.
+    With an empty C every weight is 1.0 and the total n: the uniform law
+    that counts_chunk reads before any center (d2_sample_batch and the
+    rejection walk draw uniform integers then instead).
     """
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=np.float64)
+        self.points = np.ascontiguousarray(points, dtype=np.float64)   # as add_center sums rows
         n = len(self.points)
         if n == 0:
             raise GeometryError("sampler needs a non-empty point set")
@@ -250,19 +251,16 @@ def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
                  reps: _oracle.Representatives, rng: np.random.Generator, size: int):
     """`size` D2 draws as counts, classified against `reps` (exact oracle).
 
-    One rng.multinomial over weight/total, or 1/n each before any center.
-    Returns (points, clusters, multiplicities) for the distinct points
-    drawn, in index order; the chunk costs (multiplicities * clusters).sum()
-    queries, charged by the caller. Returns None when a drawn cluster is
-    undiscovered, since its cost and registration depend on the draw order.
+    One rng.multinomial over weight/total, which is 1/n each before any
+    center. Returns (points, clusters, multiplicities) for the distinct
+    points drawn, in index order; the chunk costs
+    (multiplicities * clusters).sum() queries, charged by the caller.
+    Returns None when a drawn cluster is undiscovered, since its cost and
+    registration depend on the draw order.
     """
-    if not state.has_centers:
-        pvals = np.full(state.n_points, 1.0 / state.n_points)
-    elif state.total <= 0.0:
+    if state.total <= 0.0:
         raise FullyCovered("all points coincide with the current centers")
-    else:
-        pvals = state.weights / state.total
-    counts = rng.multinomial(size, pvals)
+    counts = rng.multinomial(size, state.weights / state.total)
     points = np.flatnonzero(counts)
     clusters, _, new_firsts = _oracle.peek_classify(session, points, reps)
     if new_firsts:

@@ -20,7 +20,6 @@ class SynthConfig:
     rho: float = 0.1
     p_collision: float = 0.0
     seed: int = 0
-    collision_model: str = "partner"
 
     def __post_init__(self):
         if not (self.n >= self.K >= 1):
@@ -84,33 +83,24 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def collision_groups(K: int, p_collision: float, rng: np.random.Generator,
-                     model: str = "pair") -> list[list[int]]:
+def collision_groups(K: int, p_collision: float, rng: np.random.Generator) -> list[list[int]]:
     """Collision groups over clusters 1..K as sorted, leader-first lists.
 
-    model="pair": connected components of the Erdos-Renyi graph G(K, p)
-    with one coin per cluster pair. model="partner": each cluster links,
-    with probability p, to one uniformly chosen other cluster (the sparse
-    construction the experiment regime p in {0.1, 0.3} needs; one coin per
-    pair leaves a single giant component there).
+    Each cluster in turn links, with probability p, to one uniformly chosen
+    other cluster; the groups are the connected components. This keeps the
+    groups small in the experiment regime p in {0.1, 0.3}, where one coin
+    per cluster pair (the Erdos-Renyi graph G(K, p)) would leave a single
+    giant component. With p = 1 and K > 1 every cluster links, so no group
+    is a singleton.
     """
     uf = _UnionFind(K)
     if p_collision > 0.0 and K > 1:
-        if model == "pair":
-            coins = rng.random((K, K))
-            for i in range(K):
-                for j in range(i + 1, K):
-                    if coins[i, j] < p_collision:
-                        uf.union(i, j)
-        elif model == "partner":
-            for i in range(K):
-                if rng.random() < p_collision:
-                    j = int(rng.integers(0, K - 1))
-                    if j >= i:
-                        j += 1
-                    uf.union(i, j)
-        else:
-            raise ValueError(f"unknown collision model {model!r}")
+        for i in range(K):
+            if rng.random() < p_collision:
+                j = int(rng.integers(0, K - 1))
+                if j >= i:
+                    j += 1
+                uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(K):
         groups.setdefault(uf.find(i), []).append(i + 1)
@@ -132,8 +122,7 @@ def generate(config: SynthConfig):
     """
     rng = np.random.default_rng(config.seed)
     sizes = zipf_sizes(config.K, config.alpha, config.n, rng)
-    groups = collision_groups(config.K, config.p_collision, rng,
-                              model=config.collision_model)
+    groups = collision_groups(config.K, config.p_collision, rng)
     centers = np.zeros((config.K, config.d))
     for group in groups:
         leader = group[int(rng.integers(0, len(group)))]

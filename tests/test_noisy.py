@@ -119,10 +119,10 @@ class TestRunNoisy:
         assert res.queries_total == sess.ledger
 
     def test_retention_cap(self, monkeypatch):
-        # Each recovered cluster keeps the first ceil(retain_cap K_guess /
-        # eps) distinct members of its group, captured when it is committed.
+        # Each recovered cluster keeps the first ceil(C4 K_guess / eps)
+        # distinct members of its group, captured when it is committed.
         ps = three_blobs()
-        cfg = NoisyConfig(p=0.1, retain_cap=8)
+        cfg = NoisyConfig(p=0.1)
         sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=7)
         groups: list[list[int]] = []        # the latest find_clusters groups
         commits = []                        # (K_guess, retained, groups) per recovery
@@ -143,7 +143,7 @@ class TestRunNoisy:
         assert res.K_recovered == len(commits) == 3
         bound = 0
         for k_guess, retained, round_groups in commits:
-            cap = math.ceil(cfg.retain_cap * k_guess / 0.5)
+            cap = math.ceil(noisy._C4 * k_guess / 0.5)
             distinct = [list(dict.fromkeys(g)) for g in round_groups]
             group = next(d for d in distinct if d[0] == retained[0])
             assert len(retained) <= cap

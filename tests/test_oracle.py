@@ -367,4 +367,4 @@ class TestCheckCluster:
         s = self._noisy_session_with([False, False], 0, [1, 2])
         for z in (3, 4):
             s.answer_cache[(0, z)] = False
-        assert check_cluster(s, 0, reps, restrict=[1, 2]) is None
+        assert check_cluster(s, 0, reps) is None

@@ -472,6 +472,7 @@ class TestPhase2Reference:
             C = base[:, None] + np.cumsum(draws == np.arange(q0)[:, None], axis=1)
             T = C.sum(axis=0)
             q, heavy = recovery._heavy_rows(C, T)
+            assert heavy.any(axis=0)[q > 0].all()     # W is never empty for a non-empty Q
             ell = recovery._bitlen(T // np.maximum(C, 1))
             frac = C / T
             assert np.all((C == 0) | ((2.0 ** -ell < frac) & (frac <= 2.0 ** (1 - ell))))

@@ -1,11 +1,13 @@
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from samecluster import sampling
+from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import GeometryError
 from samecluster.oracle import BudgetExhausted, OracleSession, Representatives
 from samecluster.sampling import (
@@ -208,6 +210,25 @@ class TestAddCenterExact:
         add_center(st, a.mean(axis=0))
         cand = sampling._candidates(st, b.mean(axis=0))
         assert set(cand.tolist()) == set(range(300, 500))
+
+
+class TestAddCenterLayout:
+    def test_f_ordered_points_match_a_c_ordered_full_pass(self):
+        # datasets.load's column mask leaves an F-ordered feature array;
+        # the weights must still be those of a full pass over C-ordered rows.
+        ps, _ = load(DatasetSpec(Path(__file__).parent / "data" / "three_blobs.csv"))
+        ref = np.ascontiguousarray(ps.points)
+        rng = np.random.default_rng(8)
+        centers = [ps.cluster_points(lab).mean(axis=0) for lab in (1, 2, 3)]
+        centers += [ref[i] for i in rng.integers(0, len(ref), size=3)]
+        for points in (ps.points, np.asfortranarray(ref)):
+            st = SamplerState(points)
+            w = None
+            for c in centers:
+                add_center(st, c)
+                w = add_center_reference(w, ref, c)
+                assert st.weights.tobytes() == w.tobytes()
+                assert st.total == float(w.sum())
 
 
 class TestNonFinite:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,9 +57,11 @@ class TestCollisionGroups:
         groups = collision_groups(10, 0.0, np.random.default_rng(0))
         assert groups == [[i] for i in range(1, 11)]
 
-    def test_p_one_single_group(self):
-        groups = collision_groups(10, 1.0, np.random.default_rng(0))
-        assert groups == [list(range(1, 11))]
+    def test_p_one_no_singletons(self):
+        # Every cluster links to a partner.
+        for seed in range(30):
+            groups = collision_groups(10, 1.0, np.random.default_rng(seed))
+            assert all(len(g) > 1 for g in groups)
 
     def test_partition_property(self):
         for seed in range(30):
@@ -66,9 +70,6 @@ class TestCollisionGroups:
             assert flat == list(range(1, 26))
 
     def test_group_count_decreases_with_p(self):
-        # At K=100 the G(K, p) graph is connected with overwhelming
-        # probability already at p=0.1, so the strictly-interior regime
-        # only shows below the connectivity threshold ~ln(K)/K.
         def mean_groups(p):
             return np.mean([len(collision_groups(100, p, np.random.default_rng(s)))
                             for s in range(50)])
@@ -117,18 +118,21 @@ class TestGenerate:
             assert (gap <= 4 * cfg.sigma / np.sqrt(sizes[cid - 1]) + 1e-12).all()
 
     def test_collisions_put_centers_close(self):
+        # Replay generate's groups. The centers of one group lie within rho
+        # of its leader, so within 2 rho of each other; each empirical
+        # centroid adds 4 sigma / sqrt(size) per coordinate of slack.
         cfg = SynthConfig(n=2000, K=15, p_collision=0.3, seed=5)
         ps, centroids = generate(cfg)
-        carr = np.vstack([centroids[c] for c in sorted(centroids)])
-        d2 = ((carr[:, None, :] - carr[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        # At least one nearby pair whenever some group is non-singleton.
         rng = np.random.default_rng(cfg.seed)
-        zipf_sizes(cfg.K, cfg.alpha, cfg.n, rng)
+        sizes = zipf_sizes(cfg.K, cfg.alpha, cfg.n, rng)
         groups = [g for g in collision_groups(cfg.K, cfg.p_collision, rng)
                   if len(g) > 1]
-        if groups:
-            assert np.sqrt(d2.min()) <= cfg.rho + 6 * cfg.sigma / np.sqrt(10)
+        assert groups
+        slack = 4 * cfg.sigma * np.sqrt(cfg.d / sizes)
+        for g in groups:
+            for a, b in itertools.combinations(g, 2):
+                gap = np.linalg.norm(centroids[a] - centroids[b])
+                assert gap <= 2 * cfg.rho + slack[a - 1] + slack[b - 1], (a, b)
 
 
 class TestSynthConfigValidation:
