@@ -52,7 +52,7 @@ show("centroid quality: mean of per-trial median errors", table, fmt="{:>10.4f}"
 
 plan = ExperimentPlan(mode="classify_study", algorithms=["improved_simple"],
                       trials=1, eps=0.5, seed=4, synth=cfg)
-rec = run_classify_study(plan)[0]
+[rec], _ = run_classify_study(plan)
 print("\n== queries needed to classify each dataset point ==")
 total = sum(rec.classify_hist.values())
 for q in sorted(rec.classify_hist):

@@ -5,38 +5,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import get_type_hints
 
 from .datasets import DatasetSpec, load, write_csv
 from .harness import (
     ExperimentPlan,
     check_reducibility,
-    run_classify_study,
-    run_error_report,
-    run_fixed_budget,
-    run_fixed_recovery,
+    run_plan,
     write_records_json,
     write_table_csv,
 )
 from .synthgen import SynthConfig, generate
 
-_SYNTH_KEYS = {
-    "n": int, "K": int, "alpha": float, "sigma": float, "b": float,
-    "d": int, "rho": float, "p": float, "seed": int,
-}
+# The sweep commands and the plan mode each one runs.
+_SWEEPS = {"budget": "fixed_budget", "recovery": "fixed_recovery",
+           "errors": "error_report", "classify": "classify_study"}
 
 
 def parse_synth(text: str) -> SynthConfig:
-    """Parse 'n=10000,K=20,alpha=2.5,...' into a SynthConfig."""
+    """Parse 'n=10000,K=20,alpha=2.5,...' into a SynthConfig: any of its
+    field names, with `p` short for p_collision."""
+    types = get_type_hints(SynthConfig)
     kwargs = {}
     for part in text.split(","):
         if not part.strip():
             continue
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in _SYNTH_KEYS:
-            raise ValueError(f"unknown synth parameter {key!r}")
         name = "p_collision" if key == "p" else key
-        kwargs[name] = _SYNTH_KEYS[key](value.strip())
+        if name not in types:
+            raise ValueError(f"unknown synth parameter {key!r}")
+        kwargs[name] = types[name](value.strip())
     return SynthConfig(**kwargs)
 
 
@@ -61,14 +60,14 @@ def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _plan_from_args(args, mode: str, budgets=(), targets=()) -> ExperimentPlan:
+def _plan_from_args(args) -> ExperimentPlan:
     synth = parse_synth(args.synth) if args.synth else None
     dataset = DatasetSpec(args.dataset) if args.dataset else None
     return ExperimentPlan(
-        mode=mode,
+        mode=_SWEEPS[args.command],
         algorithms=[a.strip() for a in args.algo.split(",") if a.strip()],
-        budgets=list(budgets),
-        targets=list(targets),
+        budgets=getattr(args, "budgets", []),
+        targets=getattr(args, "targets", []),
         trials=args.trials,
         eps=args.eps,
         seed=args.seed,
@@ -80,13 +79,6 @@ def _plan_from_args(args, mode: str, budgets=(), targets=()) -> ExperimentPlan:
         dataset=dataset,
         workers=args.workers,
     )
-
-
-def _emit(args, plan, records, table):
-    if args.format == "json":
-        write_records_json(args.out, plan, records)
-    else:
-        write_table_csv(args.out, table)
 
 
 def main(argv=None) -> int:
@@ -142,36 +134,13 @@ def _dispatch(args) -> int:
         write_csv(args.out, ps.points, ps.labels, header=args.header)
         return 0
 
-    if args.command == "budget":
-        plan = _plan_from_args(args, "fixed_budget", budgets=args.budgets)
-        records, table = run_fixed_budget(plan)
-        _emit(args, plan, records, table)
-        return 0
-
-    if args.command == "recovery":
-        plan = _plan_from_args(args, "fixed_recovery", targets=args.targets)
-        records, table = run_fixed_recovery(plan)
-        _emit(args, plan, records, table)
-        return 0
-
-    if args.command == "errors":
-        plan = _plan_from_args(args, "error_report", targets=args.targets)
-        records, table = run_error_report(plan)
-        _emit(args, plan, records, table)
-        return 0
-
-    if args.command == "classify":
-        plan = _plan_from_args(args, "classify_study",
-                               budgets=args.budgets, targets=args.targets)
-        records = run_classify_study(plan)
+    if args.command in _SWEEPS:
+        plan = _plan_from_args(args)
+        records, table = run_plan(plan)
         if args.format == "json":
             write_records_json(args.out, plan, records)
         else:
-            rows = [{"algorithm": r.algorithm, "x": r.x,
-                     "mean": (sum(q * c for q, c in r.classify_hist.items())
-                              / sum(r.classify_hist.values())),
-                     "sd": 0.0, "trials": 1, "censored": 0} for r in records]
-            write_table_csv(args.out, rows)
+            write_table_csv(args.out, table)
         return 0
 
     if args.command == "reduce-check":

@@ -46,9 +46,6 @@ _RUNNERS = {
     "basic_theory": run_basic,
 }
 
-MODES = ("fixed_budget", "fixed_recovery", "error_report", "classify_study",
-         "reducibility_check")
-
 
 @dataclass
 class ExperimentPlan:
@@ -68,7 +65,7 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in (*_GRID_MODES, "classify_study"):
             raise ValueError(f"unknown mode {self.mode!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
@@ -126,17 +123,15 @@ def trial_seeds(master: int, count: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _dataset_for_trial(plan_payload: dict, trial_seed: int) -> PointSet:
+def _run_trial(plan_payload: dict, algorithm: str, seed: int,
+               budget: int | None, target: int | None):
+    """Run `algorithm` once as a plan payload sets it up: the trial's dataset,
+    its RecoveryConfig and its OracleSession all take the trial seed.
+    Returns (dataset, result)."""
     if plan_payload["synth"] is not None:
-        cfg = SynthConfig(**{**plan_payload["synth"], "seed": trial_seed})
-        return generate(cfg)[0]
-    spec = DatasetSpec(**plan_payload["dataset"])
-    return load(spec)[0]
-
-
-def run_one_trial(plan_payload: dict, algorithm: str, x: int, trial: int,
-                  seed: int, budget: int | None, target: int | None) -> TrialRecord:
-    X = _dataset_for_trial(plan_payload, seed)
+        X = generate(SynthConfig(**{**plan_payload["synth"], "seed": seed}))[0]
+    else:
+        X = load(DatasetSpec(**plan_payload["dataset"]))[0]
     eps = plan_payload["eps"]
     noise_p = plan_payload["noise_p"]
     cfg = RecoveryConfig(
@@ -153,35 +148,24 @@ def run_one_trial(plan_payload: dict, algorithm: str, x: int, trial: int,
         res = _RUNNERS[algorithm](X, session, cfg, target=target)
     if res.queries_total != session.ledger:
         raise AssertionError("query accounting drifted from the oracle ledger")
-    censored = target is not None and res.stop_reason != "target"
+    return X, res
+
+
+def _record(algorithm: str, x: int, trial: int, seed: int,
+            res: RecoveryResult, **extra) -> TrialRecord:
     return TrialRecord(
         algorithm=algorithm, x=int(x), trial=trial, seed=seed,
         queries=res.queries_total, samples=res.samples_total,
         clusters_recovered=res.K_recovered,
         clusters_discovered=res.L_discovered, rounds=res.rounds_total,
-        per_cluster_errors=dict(res.per_cluster_errors), censored=censored)
+        per_cluster_errors=dict(res.per_cluster_errors), **extra)
 
 
-def _worker(args):
-    return run_one_trial(*args)
-
-
-def _run_grid(plan: ExperimentPlan, xs: list[int], budget_mode: bool) -> list[TrialRecord]:
-    payload = plan.to_payload()
-    seeds = trial_seeds(plan.seed, plan.trials)
-    tasks = []
-    for algorithm in plan.algorithms:
-        for x in xs:
-            for t, seed in enumerate(seeds):
-                budget = int(x) if budget_mode else None
-                target = None if budget_mode else int(x)
-                tasks.append((payload, algorithm, int(x), t, seed, budget, target))
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            records = list(pool.map(_worker, tasks, chunksize=1))
-    else:
-        records = [run_one_trial(*task) for task in tasks]
-    return records
+def run_one_trial(plan_payload: dict, algorithm: str, x: int, trial: int,
+                  seed: int, budget: int | None, target: int | None) -> TrialRecord:
+    _, res = _run_trial(plan_payload, algorithm, seed, budget, target)
+    return _record(algorithm, x, trial, seed, res,
+                   censored=target is not None and res.stop_reason != "target")
 
 
 def aggregate(records: list[TrialRecord], value) -> list[dict]:
@@ -203,33 +187,49 @@ def aggregate(records: list[TrialRecord], value) -> list[dict]:
     return rows
 
 
-def run_fixed_budget(plan: ExperimentPlan):
-    """Mean clusters recovered per (algorithm, budget)."""
-    if not plan.budgets:
-        raise ValueError("fixed_budget needs budgets")
-    records = _run_grid(plan, list(plan.budgets), budget_mode=True)
-    return records, aggregate(records, lambda r: r.clusters_recovered)
-
-
-def run_fixed_recovery(plan: ExperimentPlan):
-    """Mean queries per (algorithm, recovery target)."""
-    if not plan.targets:
-        raise ValueError("fixed_recovery needs targets")
-    records = _run_grid(plan, list(plan.targets), budget_mode=False)
-    return records, aggregate(records, lambda r: r.queries)
-
-
 def _median_error(record: TrialRecord) -> float:
     errs = list(record.per_cluster_errors.values())
     return float(np.median(errs)) if errs else float("nan")
 
 
-def run_error_report(plan: ExperimentPlan):
-    """Mean over trials of the per-trial median centroid error, fixed-recovery."""
-    if not plan.targets:
-        raise ValueError("error_report needs targets")
-    records = _run_grid(plan, list(plan.targets), budget_mode=False)
-    return records, aggregate(records, _median_error)
+# Each grid mode: the plan field holding its x-axis (query budgets or
+# recovery targets) and the per-trial value its table averages: clusters
+# recovered, queries, or the median centroid error.
+_GRID_MODES = {
+    "fixed_budget": ("budgets", lambda r: r.clusters_recovered),
+    "fixed_recovery": ("targets", lambda r: r.queries),
+    "error_report": ("targets", _median_error),
+}
+
+
+def run_plan(plan: ExperimentPlan):
+    """Run the sweep that `plan.mode` names; returns (records, table).
+
+    A grid mode runs one trial per (algorithm, x, trial seed) and tables
+    the mean and SD of its `_GRID_MODES` value per (algorithm, x)."""
+    if plan.mode == "classify_study":
+        return run_classify_study(plan)
+    axis, value = _GRID_MODES[plan.mode]
+    xs = getattr(plan, axis)
+    if not xs:
+        raise ValueError(f"{plan.mode} needs {axis}")
+    payload = plan.to_payload()
+    seeds = trial_seeds(plan.seed, plan.trials)
+    budgeted = axis == "budgets"
+    tasks = [(payload, algorithm, int(x), t, seed,
+              int(x) if budgeted else None, None if budgeted else int(x))
+             for algorithm in plan.algorithms for x in xs
+             for t, seed in enumerate(seeds)]
+    if plan.workers > 1:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            records = list(pool.map(run_one_trial, *zip(*tasks), chunksize=1))
+    else:
+        records = [run_one_trial(*task) for task in tasks]
+    return records, aggregate(records, value)
+
+
+# The names callers use for the grid sweeps; the plan's mode picks the sweep.
+run_fixed_budget = run_fixed_recovery = run_error_report = run_plan
 
 
 def classify_study(X: PointSet, result: RecoveryResult, seed: int = 0):
@@ -277,7 +277,9 @@ def classify_study(X: PointSet, result: RecoveryResult, seed: int = 0):
 
 
 def run_classify_study(plan: ExperimentPlan):
-    """Recover once per algorithm, then histogram classification queries.
+    """Recover once per algorithm, then histogram classification queries;
+    returns (records, table), both in plan order, with one table row per
+    algorithm whose mean is the queries per point.
 
     Only the exact-oracle algorithms (the _RUNNERS tags) can be studied:
     the classifier replays exact same-cluster answers."""
@@ -286,28 +288,22 @@ def run_classify_study(plan: ExperimentPlan):
         raise ValueError(f"classify study takes only the exact-oracle algorithms "
                          f"{list(_RUNNERS)}, not {other}")
     payload = plan.to_payload()
-    seeds = trial_seeds(plan.seed, 1)
-    records = []
+    seed = trial_seeds(plan.seed, 1)[0]
+    target = plan.targets[0] if plan.targets else None
+    budget = plan.budgets[0] if plan.budgets else None
+    if "uniform" in plan.algorithms and target is None and budget is None:
+        raise ValueError("uniform needs a target or budget for the study")
+    x = target if target is not None else (budget or 0)
+    records, table = [], []
     for algorithm in plan.algorithms:
-        target = plan.targets[0] if plan.targets else None
-        budget = plan.budgets[0] if plan.budgets else None
-        if algorithm == "uniform" and target is None and budget is None:
-            raise ValueError("uniform needs a target or budget for the study")
-        X = _dataset_for_trial(payload, seeds[0])
-        cfg = RecoveryConfig(eps=plan.eps, heavy_threshold=plan.heavy_threshold,
-                             reuse_samples=plan.reuse_samples,
-                             draw_cap=plan.draw_cap, seed=seeds[0])
-        session = OracleSession(X.labels, rng_seed=seeds[0], budget=budget)
-        res = _RUNNERS[algorithm](X, session, cfg, target=target)
-        hist, correct = classify_study(X, res, seed=seeds[0])
-        records.append(TrialRecord(
-            algorithm=algorithm, x=target if target is not None else (budget or 0),
-            trial=0, seed=seeds[0], queries=res.queries_total,
-            samples=res.samples_total, clusters_recovered=res.K_recovered,
-            clusters_discovered=res.L_discovered, rounds=res.rounds_total,
-            per_cluster_errors=dict(res.per_cluster_errors),
-            classify_hist=hist, correct_fraction=correct))
-    return records
+        X, res = _run_trial(payload, algorithm, seed, budget, target)
+        hist, correct = classify_study(X, res, seed=seed)
+        records.append(_record(algorithm, x, 0, seed, res, classify_hist=hist,
+                               correct_fraction=correct))
+        table.append({"algorithm": algorithm, "x": x,
+                      "mean": sum(q * c for q, c in hist.items()) / len(X),
+                      "sd": 0.0, "trials": 1, "censored": 0})
+    return records, table
 
 
 def check_reducibility(X: PointSet, recovered_labels, eps: float):

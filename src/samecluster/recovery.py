@@ -737,9 +737,13 @@ class _ExpEngine:
 
     Every D2-draw is classified (by increasing distance to running
     sample-mean centers, the query-saving order the experiments use), then
-    offered to its own cluster's acceptance test, min(1, w(ref) / w(x))
-    against the cluster's current minimum-weight sampled point, building
-    per-cluster pools of uniform samples as sampling proceeds.
+    offered to its own cluster's acceptance test, min(1, w(ref) / w(x)),
+    building per-cluster pools of uniform samples as sampling proceeds.
+    A cluster's reference is the (w, x)-least of its draws taken while it
+    was live, each compared with the reference by the weights of the time
+    it was ingested. A recovery that lowers the weights does not recompute
+    it, so it can weigh more than the cluster's current minimum-weight
+    sampled point.
 
     Draws come from a 2048-draw buffer refilled when it runs out, and
     `take` processes a block of them at once. A block ends at the buffer's
@@ -754,8 +758,9 @@ class _ExpEngine:
     def __init__(self, run: RunState):
         self.run = run
         self.refs: dict[int, int] = {}
-        # Running sample sum per discovered cluster, row cid - 1.
-        self.sums = np.zeros((0, run.X.dim))
+        # Running sample sum per discovered cluster, row cid - 1; the rows
+        # past L are zero, and a discovery past the last row doubles them.
+        self.sums = np.zeros((8, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
@@ -763,7 +768,7 @@ class _ExpEngine:
         run = self.run
         L = run.L
         counts = np.maximum(run.counts[:L], 1)
-        centers = self.sums / counts[:, None]
+        centers = self.sums[:L] / counts[:, None]
         for cid in run.recovered:
             centers[cid - 1] = run.centers[cid]
         return centers
@@ -809,7 +814,8 @@ class _ExpEngine:
         x, cid = int(xs[0]), int(cl[0])
         run.commit_peeked(xs, cl, costs, new_firsts, 1)
         self._pos += 1
-        self.sums = np.vstack([self.sums, np.zeros((1, run.X.dim))])
+        if cid > len(self.sums):
+            self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
         self.sums[cid - 1] += run.X.points[x]
         self.refs[cid] = x
         run.rng.random()
@@ -851,8 +857,9 @@ class _ExpEngine:
         coin_pos = np.flatnonzero(live[cl - 1])
         w = run.sampler.weights
         wx = w[xs]
-        # A cluster's reference weight is the running minimum of its
-        # sampled weights: the weight of its (w, x)-least sampled point.
+        # A draw's reference weight is the minimum, by the current weights,
+        # of its cluster's reference point and the cluster's draws in the
+        # block up to and including this one.
         ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
                           for c in seg.ids.tolist()])
         wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]

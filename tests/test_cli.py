@@ -1,12 +1,24 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from samecluster.cli import main, parse_synth
 from samecluster.datasets import DatasetSpec, load
-from samecluster.harness import read_records_json, read_table_csv
+from samecluster.harness import (
+    ExperimentPlan,
+    read_records_json,
+    read_table_csv,
+    run_classify_study,
+    run_error_report,
+    run_fixed_budget,
+    run_fixed_recovery,
+    write_records_json,
+    write_table_csv,
+)
+from samecluster.synthgen import SynthConfig
 
 SYNTH = "n=800,K=4,sigma=0.15,d=4,seed=3"
 
@@ -23,6 +35,19 @@ class TestParseSynth:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_synth("bogus=1")
+
+    def test_every_field_by_name_with_its_type(self):
+        want = SynthConfig(n=900, K=6, alpha=1.5, sigma=0.2, b=4.0, d=3,
+                           rho=0.3, p_collision=0.25, seed=7)
+        cfg = parse_synth(",".join(f"{f.name}={getattr(want, f.name)}"
+                                   for f in fields(SynthConfig)))
+        assert cfg == want
+        assert {f.name: type(getattr(cfg, f.name)) for f in fields(SynthConfig)} == {
+            "n": int, "K": int, "alpha": float, "sigma": float, "b": float,
+            "d": int, "rho": float, "p_collision": float, "seed": int}
+        assert type(parse_synth("b=4").b) is float
+        with pytest.raises(ValueError):
+            parse_synth("n=2.5")
 
 
 class TestSynthCommand:
@@ -90,6 +115,38 @@ class TestSweepCommands:
         assert doc["error"]["type"] == "ValueError"
         assert "exact-oracle" in doc["error"]["message"]
         assert not out.exists()
+
+
+# Each sweep command, its axis flags, the harness runner and the plan it
+# makes; the algorithms are out of sorted order, so the classify table
+# keeps plan order while the grid tables sort.
+SWEEPS = [
+    ("budget", ["--budgets", "100,400"], run_fixed_budget,
+     dict(mode="fixed_budget", budgets=[100, 400])),
+    ("recovery", ["--targets", "2,3"], run_fixed_recovery,
+     dict(mode="fixed_recovery", targets=[2, 3])),
+    ("errors", ["--targets", "3"], run_error_report,
+     dict(mode="error_report", targets=[3])),
+    ("classify", [], run_classify_study, dict(mode="classify_study")),
+]
+
+
+@pytest.mark.parametrize("command,axis,runner,plan_kw", SWEEPS,
+                         ids=[s[0] for s in SWEEPS])
+def test_sweep_output_is_the_harness_output(tmp_path, command, axis, runner, plan_kw):
+    algos = "improved_simple,basic" if command == "classify" else "basic,uniform"
+    plan = ExperimentPlan(algorithms=algos.split(","), trials=2,
+                          synth=parse_synth(SYNTH), **plan_kw)
+    records, table = runner(plan)
+    for fmt in ("csv", "json"):
+        got, want = tmp_path / f"cli.{fmt}", tmp_path / f"harness.{fmt}"
+        assert run_cli([command, *axis, "--algo", algos, "--trials", "2",
+                        "--synth", SYNTH, "--out", str(got), "--format", fmt]) == 0
+        if fmt == "csv":
+            write_table_csv(want, table)
+        else:
+            write_records_json(want, plan, records)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestReduceCheck:

@@ -206,9 +206,13 @@ class TestClassifyStudy:
     def test_plan_driver(self):
         plan = small_plan("classify_study", algorithms=["improved_simple"],
                           trials=1)
-        recs = run_classify_study(plan)
+        recs, table = run_classify_study(plan)
         assert recs[0].classify_hist
         assert recs[0].correct_fraction == 1.0
+        hist = recs[0].classify_hist
+        assert table == [{"algorithm": "improved_simple", "x": 0,
+                          "mean": sum(q * c for q, c in hist.items()) / SMALL.n,
+                          "sd": 0.0, "trials": 1, "censored": 0}]
 
     def test_noisy_rejected(self):
         plan = small_plan("classify_study", algorithms=["improved_simple", "noisy"],

@@ -918,7 +918,7 @@ def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
     run, engine = box["run"], box["engine"]
     L = run.L
     return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
-            engine.refs, run.accepted, run.counts[:L].tolist(), engine.sums.tobytes(),
+            engine.refs, run.accepted, run.counts[:L].tolist(), engine.sums[:L].tobytes(),
             np.argwhere(run.masks).tolist())
 
 
