@@ -39,7 +39,6 @@ from .recovery import (
 )
 from .sampling import (
     FullyCovered,
-    QuotaUnreachable,
     SamplerState,
     add_center,
     reference_point,
@@ -52,7 +51,7 @@ __all__ = [
     "OracleSession", "Representatives", "classify",
     "check_cluster", "BudgetExhausted",
     "SamplerState", "add_center",
-    "reference_point", "rej_samp", "FullyCovered", "QuotaUnreachable",
+    "reference_point", "rej_samp", "FullyCovered",
     "RecoveryConfig", "RecoveryResult", "BandPartition", "split_bands",
     "phase1_probe", "run_basic", "run_improved", "run_basic_simplified",
     "run_improved_simplified", "run_uniform",

@@ -151,21 +151,22 @@ def _run_trial(plan_payload: dict, algorithm: str, seed: int,
     return X, res
 
 
-def _record(algorithm: str, x: int, trial: int, seed: int,
-            res: RecoveryResult, **extra) -> TrialRecord:
+def _record(algorithm: str, x: int, trial: int, seed: int, res: RecoveryResult,
+            target: int | None, **extra) -> TrialRecord:
+    """A trial's record; a run that stopped short of its target is censored."""
     return TrialRecord(
         algorithm=algorithm, x=int(x), trial=trial, seed=seed,
         queries=res.queries_total, samples=res.samples_total,
         clusters_recovered=res.K_recovered,
         clusters_discovered=res.L_discovered, rounds=res.rounds_total,
-        per_cluster_errors=dict(res.per_cluster_errors), **extra)
+        per_cluster_errors=dict(res.per_cluster_errors),
+        censored=target is not None and res.stop_reason != "target", **extra)
 
 
 def run_one_trial(plan_payload: dict, algorithm: str, x: int, trial: int,
                   seed: int, budget: int | None, target: int | None) -> TrialRecord:
     _, res = _run_trial(plan_payload, algorithm, seed, budget, target)
-    return _record(algorithm, x, trial, seed, res,
-                   censored=target is not None and res.stop_reason != "target")
+    return _record(algorithm, x, trial, seed, res, target)
 
 
 def aggregate(records: list[TrialRecord], value) -> list[dict]:
@@ -298,11 +299,12 @@ def run_classify_study(plan: ExperimentPlan):
     for algorithm in plan.algorithms:
         X, res = _run_trial(payload, algorithm, seed, budget, target)
         hist, correct = classify_study(X, res, seed=seed)
-        records.append(_record(algorithm, x, 0, seed, res, classify_hist=hist,
-                               correct_fraction=correct))
+        rec = _record(algorithm, x, 0, seed, res, target, classify_hist=hist,
+                      correct_fraction=correct)
+        records.append(rec)
         table.append({"algorithm": algorithm, "x": x,
                       "mean": sum(q * c for q, c in hist.items()) / len(X),
-                      "sd": 0.0, "trials": 1, "censored": 0})
+                      "sd": 0.0, "trials": 1, "censored": int(rec.censored)})
     return records, table
 
 

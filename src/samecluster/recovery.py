@@ -30,7 +30,7 @@ from . import oracle as _oracle
 from . import sampling as _sampling
 from .geometry import PointSet, centroid_error
 from .oracle import BudgetExhausted, OracleSession, Representatives
-from .sampling import FullyCovered, QuotaUnreachable, SamplerState
+from .sampling import FullyCovered, SamplerState
 
 _FILL_BATCH = 1 << 21
 _PHASE_CHUNK = 1 << 13
@@ -190,6 +190,8 @@ class RunState:
             raise ValueError("recovery needs a non-empty point set")
         if len(X) != session.n_points:
             raise ValueError("point set and oracle session sizes differ")
+        if target is not None and target < 1:
+            raise ValueError(f"target must be >= 1, got {target}")
         self.X = X
         self.session = session
         self.config = config
@@ -203,7 +205,7 @@ class RunState:
         self.counts = np.zeros(8, dtype=np.int64)       # per discovered id, 1-based
         # Sampled-point bitmaps: row cid - 1 marks the points drawn for cid.
         self.masks = np.zeros((8, len(X)), dtype=bool)
-        self.accepted: dict[int, list[int]] = {}        # uniform pools per cluster
+        self.accepted: dict[int, list[int]] = {}        # _ExpEngine uniform pools per cluster
         self.s_total = 0
         self.draws = 0
         self.round = 0
@@ -331,26 +333,23 @@ class RunState:
         """The minimum-weight point sampled for cid (sampling.reference_point)."""
         return _sampling.reference_point(np.flatnonzero(self.mask_of(cid)), self.sampler)
 
-    def rej_samp(self, W, refs: dict, T, **kwargs) -> tuple[dict, list[int]]:
+    def rej_samp(self, W, refs: dict, quota: int, **kwargs) -> tuple[dict, list[int]]:
         """sampling.rej_samp within the draws left under the cap.
 
-        Returns (pools, unmet). The remainder goes in as it is, 0 included:
-        a pass whose carried pools already meet every quota draws nothing.
-        Unmet quotas mean the cap cut the pass. The round records what it
-        completed and lists the unmet clusters as skipped, which makes them
-        the run's starved clusters, then raises _DrawCap unless the target
-        is reached.
+        Returns (pools, unmet), unmet being the clusters of W whose pool
+        came back short of the quota: the cap cut the pass. The remainder
+        goes in as it is, 0 included, where the pass draws nothing and
+        every pool comes back short. The round records what it completed
+        and lists the unmet clusters as skipped, which makes them the
+        run's starved clusters, then raises _DrawCap unless the target is
+        reached.
         """
-        try:
-            acc, draws, _ = _sampling.rej_samp(
-                self.sampler, self.session, W=W, refs=refs, T=T,
-                eps=self.config.eps, rng=self.rng,
-                draw_cap=self.config.draw_cap - self.draws, **kwargs)
-        except QuotaUnreachable as e:
-            self.draws += e.draws
-            return e.accepted, list(e.unmet)
+        acc, draws, _ = _sampling.rej_samp(
+            self.sampler, self.session, W=W, refs=refs, T=quota,
+            eps=self.config.eps, rng=self.rng,
+            draw_cap=self.config.draw_cap - self.draws, **kwargs)
         self.draws += draws
-        return acc, []
+        return acc, [j for j in W if len(acc[j]) < quota]
 
     # -- round skeleton -------------------------------------------------------
 
@@ -474,25 +473,34 @@ def _basic_round(run: RunState, log: dict):
     Q = run.Q()
     counts = {cid: int(run.counts[cid - 1]) for cid in Q}
     j = min(Q, key=lambda c: (-counts[c], c))
-    q_frozen = len(Q)
-    # Phase 3: top up to T2, then choose the minimum-weight sampled point of j.
-    t2 = basic_t2(eps, k, q_frozen)
+    _recover_rejection(run, log, [j], basic_t2(eps, k, len(Q)), basic_t3(eps, run.round))
+
+
+def _recover_rejection(run: RunState, log: dict, W: list[int], t2: float, t3: float):
+    """Phases 3-4 of a theory round: recover every cluster of W.
+
+    Phase 3 tops the sample up to floor(t2) + 1 draws and takes each
+    cluster's minimum-weight sampled point as its reference. Phase 4
+    rejection-samples max(1, ceil(t3)) uniform points per cluster and
+    recovers each cluster at the mean of its points. W holds unrecovered
+    clusters only, which carry no pool: a pass starts empty. A cluster
+    whose quota the draw cap cuts short is skipped, and the step then
+    raises _DrawCap unless the target is reached.
+    """
     gap = math.floor(t2) + 1 - run.s_total
     if gap > 0:
         run.draw_classified_fill(gap)
-    ref = run.reference_for(j)
-    # Phase 4: rejection-sample the quota and recover the centroid.
-    t3 = max(1, math.ceil(basic_t3(eps, run.round)))
-    pool = run.accepted.get(j, []) if run.config.reuse_samples else []
-    acc, unmet = run.rej_samp([j], {j: ref}, {j: t3}, reps=run.reps,
-                              preaccepted={j: pool})
-    if unmet:
-        log["skipped"].append(j)
-        raise _DrawCap()
-    run.accepted[j] = acc[j]
-    run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
-    log["recovered"].append(j)
+    refs = {j: run.reference_for(j) for j in W}
+    acc, unmet = run.rej_samp(W, refs, max(1, math.ceil(t3)), reps=run.reps)
+    for j in W:
+        if j in unmet:
+            log["skipped"].append(j)
+            continue
+        run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
+        log["recovered"].append(j)
     run.check_target()
+    if unmet:
+        raise _DrawCap()
 
 
 # ---------------------------------------------------------------------------
@@ -533,28 +541,8 @@ def k_doubling(run: RunState, probe, round_):
 def _improved_round(run: RunState, k_guess: int, log: dict) -> bool:
     eps, k = run.config.eps, run.k
     W, q_frozen = _improved_phase2(run)
-    # Phase 3: top up to T2, then pick each cluster's reference point.
-    t2 = improved_t2(eps, k, q_frozen, len(W))
-    gap = math.floor(t2) + 1 - run.s_total
-    if gap > 0:
-        run.draw_classified_fill(gap)
-    refs = {j: run.reference_for(j) for j in W}
-    # Phase 4: rejection-sample every W quota, recover the batch.
-    quota = max(1, math.ceil(improved_t3(eps, k_guess)))
-    pools = {j: (run.accepted.get(j, []) if run.config.reuse_samples else [])
-             for j in W}
-    acc, unmet = run.rej_samp(W, refs, {j: quota for j in W}, reps=run.reps,
-                              preaccepted=pools)
-    for j in W:
-        if j in unmet:
-            log["skipped"].append(j)
-            continue
-        run.accepted[j] = acc[j]
-        run.commit_recovery(j, run.X.points[np.asarray(acc[j])].mean(axis=0))
-        log["recovered"].append(j)
-    if unmet:
-        run.check_target()
-        raise _DrawCap()
+    _recover_rejection(run, log, W, improved_t2(eps, k, q_frozen, len(W)),
+                       improved_t3(eps, k_guess))
     return bool(run.Q())
 
 

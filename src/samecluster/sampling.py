@@ -28,16 +28,6 @@ class FullyCovered(RuntimeError):
     """Every point coincides with a center: D2-sampling has no support."""
 
 
-class QuotaUnreachable(RuntimeError):
-    """Rejection sampling hit its draw cap before filling every quota."""
-
-    def __init__(self, msg, accepted=None, unmet=(), draws=0):
-        super().__init__(msg)
-        self.accepted = accepted or {}
-        self.unmet = tuple(unmet)
-        self.draws = draws
-
-
 class SamplerState:
     """Per-point weights Phi({x}, C) for the current center set C.
 
@@ -279,9 +269,9 @@ def reference_point(sample_indices, state: SamplerState) -> int:
 
 def _accept_prob(scale: float, ref_w: np.ndarray, wx: np.ndarray) -> np.ndarray:
     """Acceptance probability min(1, scale w(ref) / w(x)) per draw; 1 where w(x) = 0."""
-    p = np.minimum(1.0, scale * ref_w / np.maximum(wx, 1e-300))
-    p[wx <= 0.0] = 1.0
-    return p
+    with np.errstate(over="ignore"):        # inf: the draw is accepted
+        p = np.divide(scale * ref_w, wx, out=np.ones(len(wx)), where=wx > 0.0)
+    return np.minimum(1.0, p)
 
 
 def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
@@ -292,7 +282,8 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
 
     Draws, classifies, and for clusters j in W accepts a draw x with
     probability min(1, (eps/128) w(x_j*)/w(x)), looping until every j in W
-    holds at least its quota (T: one int for all, or a map j -> int).
+    holds at least its quota (T: one int for all, or a map j -> int) or
+    draw_cap draws are made.
     Classification is exact-oracle Classify against `reps` by default; a
     `checker(point_index) -> cluster index or 0` callable replaces it for
     the noisy pipeline. Returns ({j: [point indices]}, draws, queries).
@@ -315,8 +306,8 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     committed through the quota-filling draw, or up to the cap, and its
     tail draws are discarded. No batch size depends on draw_cap: the cap
     only cuts a batch, so a cap that a pass does not reach leaves the pass
-    as it is. When the cap cuts the pass short of a quota,
-    QuotaUnreachable carries what was accepted.
+    as it is. A pass that reaches the cap ends there and returns as a
+    filled one does; the pools short of their quota show what it missed.
     """
     W = sorted(W)
     scale = eps / 128.0
@@ -345,12 +336,7 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     for j in W:
         w_arr[j] = ref_w[j]
         in_w_arr[j] = True
-    while any(v > 0 for v in need().values()):
-        if draws >= draw_cap:
-            unmet = [j for j, v in need().items() if v > 0]
-            raise QuotaUnreachable(
-                f"draw cap {draw_cap} reached with quotas unmet for {unmet}",
-                accepted=accepted, unmet=unmet, draws=draws)
+    while draws < draw_cap and any(v > 0 for v in need().values()):
         nd = need()
 
         got = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
@@ -410,7 +396,8 @@ def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session,
     are those of the loop that, per draw, takes d2_sample_batch(state, rng,
     1)[0], checks it, and for a W-classified draw takes one rng.random()
     coin. The weights do not change during the loop, and unmet quotas are
-    counted down as draws are accepted.
+    counted down as draws are accepted. Returns the draws made, which stop
+    at the quota fill or at draw_cap.
 
     Each block snapshots the generator and draws _WALK_WORDS 64-bit words
     at once. With centers they are rng.random() doubles, each with its
@@ -439,12 +426,7 @@ def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session,
     verdicts: dict[int, tuple] = {}    # x -> (cluster or 0, ledger delta, p or None)
     size = _WALK_WORDS
     draws = 0
-    while unmet:
-        if draws >= draw_cap:
-            missing = [j for j in W if left[j] > 0]
-            raise QuotaUnreachable(
-                f"draw cap {draw_cap} reached with quotas unmet for {missing}",
-                accepted=accepted, unmet=missing, draws=draws)
+    while unmet and draws < draw_cap:
         if not uniform and state.total <= 0.0:
             raise FullyCovered("all points coincide with the current centers")
         entry = bitgen.state

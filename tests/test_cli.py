@@ -106,6 +106,20 @@ class TestSweepCommands:
         # The study's histogram is {1: 2324, 2: 340, 3: 336}.
         assert row["mean"] == (2324 + 2 * 340 + 3 * 336) / 3000
 
+    @pytest.mark.parametrize("target,censored", [(20, True), (4, False)])
+    def test_classify_censored_short_of_its_target(self, tmp_path, target, censored):
+        # The set has 8 clusters: a target of 20 is missed, one of 4 met.
+        for fmt in ("json", "csv"):
+            code = run_cli(["classify", "--algo", "improved_simple", "--targets",
+                            str(target), "--synth", "n=3000,K=8,p=0.3,seed=1",
+                            "--out", str(tmp_path / f"classify.{fmt}"), "--format", fmt])
+            assert code == 0
+        _, [record] = read_records_json(tmp_path / "classify.json")
+        assert record.clusters_recovered == (8 if censored else 4)
+        assert record.censored is censored
+        [row] = read_table_csv(tmp_path / "classify.csv")
+        assert row["censored"] == int(censored)
+
     def test_classify_noisy_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "classify.json"
         code = run_cli(["classify", "--algo", "noisy", "--noise-p", "0.1",

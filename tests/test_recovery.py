@@ -574,6 +574,14 @@ class TestRunBasic:
         assert res.K_recovered == 2
         assert res.stop_reason == "target"
 
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_target_below_one_is_rejected(self, target):
+        ps = well_separated()
+        with pytest.raises(ValueError, match="target"):
+            RunState(ps, OracleSession(ps.labels), RecoveryConfig(), target)
+        with pytest.raises(ValueError, match="target"):
+            run_basic(ps, OracleSession(ps.labels), RecoveryConfig(), target=target)
+
 
 class TestRunImproved:
     def test_five_equal_clusters(self):

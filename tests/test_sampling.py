@@ -12,7 +12,6 @@ from samecluster.geometry import GeometryError
 from samecluster.oracle import BudgetExhausted, OracleSession, Representatives
 from samecluster.sampling import (
     FullyCovered,
-    QuotaUnreachable,
     SamplerState,
     add_center,
     d2_sample_batch,
@@ -496,11 +495,39 @@ class TestRejSamp:
         session = OracleSession(labels)
         st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
-        with pytest.raises(QuotaUnreachable) as ei:
-            rej_samp(st, session, W=[1], refs={1: 0}, T=10**6, eps=0.01,
-                     rng=np.random.default_rng(3), reps=Representatives(),
-                     draw_cap=2000)
-        assert ei.value.unmet == (1,)
+        # The pass stops at the cap and returns the short pool.
+        accepted, draws, queries = rej_samp(
+            st, session, W=[1], refs={1: 0}, T=10**6, eps=0.01,
+            rng=np.random.default_rng(3), reps=Representatives(), draw_cap=2000)
+        assert draws == 2000
+        assert len(accepted[1]) < 10**6
+        assert queries == session.ledger > 0
+
+    def test_tiny_weights_accept_as_scaled_ones(self):
+        # Scaling the points by 2^-505 scales every weight by 2^-1010, to
+        # below 1e-300, and leaves each draw's probability and acceptance
+        # ratio as they were, so the pass must be the same pass.
+        rng = np.random.default_rng(11)
+        pts = np.vstack([rng.normal((0.0, 0.0), 1.0, size=(400, 2)),
+                         rng.normal((5.0, 0.0), 1.0, size=(300, 2))])
+        labels = np.repeat([1, 2], [400, 300])
+        outs = []
+        for scale in (1.0, 2.0 ** -505):
+            st = SamplerState(pts * scale)
+            add_center(st, pts[:400].mean(axis=0) * scale)
+            if scale < 1.0:
+                assert st.weights.max() < 1e-300
+            session = OracleSession(labels)
+            reps = Representatives()
+            reps.add_cluster(0)
+            reps.add_cluster(400)
+            ref = reference_point(range(400, 700), st)
+            accepted, draws, queries = rej_samp(
+                st, session, W=[2], refs={2: ref}, T=20, eps=0.5,
+                rng=np.random.default_rng(7), reps=reps, draw_cap=10 ** 6)
+            outs.append((accepted, draws, queries))
+        assert len(outs[0][0][2]) == 20
+        assert outs[1] == outs[0]
 
     def test_batched_matches_scalar_checker_quota_stop(self):
         # The checker path stops exactly at the filling draw. It checks each
@@ -633,10 +660,13 @@ class TestRejSampPin:
                 acc, draws, queries = rej_samp(st, session, W, refs, T, 1.0, rng=rng,
                                                reps=reps, draw_cap=cap, preaccepted=pre)
                 assert queries == session.ledger
-                out = ("done", {j: len(v) for j, v in acc.items()}, draws, _digest(acc))
-            except QuotaUnreachable as e:
-                out = ("cap", {j: len(v) for j, v in e.accepted.items()}, e.unmet, e.draws,
-                       _digest(e.accepted))
+                sizes = {j: len(v) for j, v in acc.items()}
+                unmet = tuple(j for j in W if sizes[j] < T)
+                if unmet:
+                    assert draws == cap
+                    out = ("cap", sizes, unmet, draws, _digest(acc))
+                else:
+                    out = ("done", sizes, draws, _digest(acc))
             except BudgetExhausted as e:
                 out = ("budget", e.done)
             state = rng.bit_generator.state
