@@ -176,8 +176,10 @@ class Representatives:
     def __init__(self, noisy: bool = False):
         self.noisy = noisy
         self.reps: dict[int, int | list[int]] = {}
-        # Exact-mode fast lookup: truth label -> discovered index (0 = unseen).
+        # Exact-mode fast lookups, truth label or point -> discovered index
+        # (0 = unseen), dropped at each discovery and built again on demand.
         self._rank_of_label: np.ndarray | None = None
+        self._rank_of_point: np.ndarray | None = None
 
     @property
     def discovered_count(self) -> int:
@@ -195,7 +197,7 @@ class Representatives:
     def add_cluster(self, point_index: int) -> int:
         idx = len(self.reps) + 1
         self.reps[idx] = [int(point_index)] if self.noisy else int(point_index)
-        self._rank_of_label = None
+        self._rank_of_label = self._rank_of_point = None
         return idx
 
     def rank_of_label(self, session: OracleSession) -> np.ndarray:
@@ -208,6 +210,24 @@ class Representatives:
                 arr[session.truth[self.reps[i]]] = i
             self._rank_of_label = arr
         return self._rank_of_label
+
+    def rank_of_point(self, session: OracleSession) -> np.ndarray:
+        """Exact mode: map point -> discovered index, rank_of_label[truth]."""
+        if self._rank_of_point is None:
+            self._rank_of_point = self.rank_of_label(session)[session.truth]
+        return self._rank_of_point
+
+    def ranks(self, session: OracleSession, xs: np.ndarray) -> np.ndarray:
+        """Exact mode: the discovered index of each point of xs, 0 if unseen.
+
+        One gather from rank_of_point. After a discovery that table is
+        built again only for a batch of at least n points, since building
+        it costs about n gathers; a smaller batch takes two meanwhile,
+        through rank_of_label.
+        """
+        if self._rank_of_point is None and len(xs) < session.n_points:
+            return self.rank_of_label(session)[session.truth[xs]]
+        return self.rank_of_point(session)[xs]
 
 
 def classify(session: OracleSession, x: int, reps: Representatives) -> int:
@@ -251,16 +271,15 @@ def peek_classify(session: OracleSession, xs: np.ndarray, reps: Representatives)
     if not session.exact:
         raise OracleError("peek_classify requires the exact oracle")
     xs = np.asarray(xs, dtype=np.int64)
-    rank = reps.rank_of_label(session)
-    labels = session.truth[xs]
-    cl = rank[labels].astype(np.int64, copy=False)
+    cl = reps.ranks(session, xs)
     costs = cl
     new_firsts: list[tuple[int, int]] = []
     pos = np.flatnonzero(cl == 0)
     if len(pos):
         costs = cl.copy()
         # Undiscovered labels are numbered L+1, L+2, ... by first appearance.
-        _, first, inv = np.unique(labels[pos], return_index=True, return_inverse=True)
+        _, first, inv = np.unique(session.truth[xs[pos]], return_index=True,
+                                  return_inverse=True)
         order = np.argsort(first)
         prov = np.empty(len(first), dtype=np.int64)
         prov[order] = np.arange(reps.discovered_count + 1,

@@ -1,10 +1,10 @@
 """D2-sampling with incrementally maintained weights, and rejection sampling.
 
 The sampler keeps one weight per point: its squared distance to the nearest
-center added so far. Draws are weighted by prefix-sum inversion, sped up by
-a guide table (an indexed inverse-CDF search) that answers most draws
-without a binary search and every draw exactly as the search would; with no
-centers yet, draws are uniform (the standard first-draw convention).
+center added so far. Draws are weighted by prefix-sum inversion, through
+a guide table (an indexed inverse-CDF search) that answers a draw in a few
+lookups, exactly as the binary search would; with no centers yet, draws
+are uniform (the standard first-draw convention).
 
 Adding a center lowers the weights it can lower. A float32 screen over a
 scaled (d, n) copy of the points, kept from the second center on, rules
@@ -22,6 +22,7 @@ from .geometry import GeometryError
 _F32_U = 2.0 ** -24             # float32 unit roundoff
 _SCREEN_MAX_DIM = 2 ** 20 - 2   # keeps (d + 2) u at most 1/16
 _SCREEN_MAX_C = 2.0 ** 64       # largest scaled center coordinate the screen takes
+_GUIDE_STEPS = 2                # steps a guide-table miss takes before the full search
 
 
 class FullyCovered(RuntimeError):
@@ -47,7 +48,8 @@ class SamplerState:
         self.total = float(n)
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
-        self._guide: tuple[np.ndarray, np.ndarray] | None = None   # (cumsum, table)
+        # (cumsum, guide table): the table of _d2_index for that prefix-sum array.
+        self._guide: tuple[np.ndarray, np.ndarray] | None = None
         # add_center's screen. _scale is the power of two s that puts the
         # largest |x_i s| in [1/2, 1), or 0.0 where the screen is not used
         # (d above _SCREEN_MAX_DIM, or s outside [2^-500, 2^500]).
@@ -178,52 +180,72 @@ def d2_sample_batch(state: SamplerState, rng: np.random.Generator, size: int) ->
 
     Each draw is min(searchsorted(cs, u * top, "right"), n - 1) for one
     uniform u = rng.random(), cs the prefix sums of the weights and
-    top = cs[-1]. A guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
-    gives that index without a binary search for most draws. With
-    m = 2^ceil(log2(8n)) cells, e_k = fl((k/m) top) and
-    t[k] = min(searchsorted(cs, e_k, "right"), n - 1) for k = 0..m, a draw
-    falls in cell k = floor(u m); where t[k] == t[k + 1] that value is its
-    index, and only the other draws are searched (at most n of the m
-    cells hold a prefix sum, so at most about one draw in eight).
-
-    Why this is exact: m is a power of two, so u m and k/m are exact and
-    k/m <= u < (k + 1)/m. Rounding a product with a positive top is
-    monotone, so e_k <= fl(u top) <= e_{k+1}; searchsorted and the clamp
-    to n - 1 are monotone in the key, so the draw's index lies in
-    [t[k], t[k + 1]]. The draws, and the RNG state after them, are those
-    of the plain search.
-
-    The table is kept with the prefix-sum array it was built from and
-    serves only that array, which add_center drops. It is built on the
-    first call of at least n draws against the array, since building it
-    costs about as much as n plain draws, and serves later calls of any
-    size.
+    top = cs[-1]. _d2_index finds it in a few table lookups.
     """
     if not state.has_centers:
         return rng.integers(0, state.n_points, size=size)
     if state.total <= 0.0:
         raise FullyCovered("all points coincide with the current centers")
+    return _d2_index(state, rng.random(size))
+
+
+def _d2_index(state: SamplerState, u: np.ndarray) -> np.ndarray:
+    """d2_sample_batch's index of each uniform in u.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) gives each
+    index in a few lookups. With m = 2^ceil(log2(8n)) cells,
+    e_k = fl((k/m) top) and t[k] = min(searchsorted(cs, e_k, "right"), n - 1)
+    for k = 0..m, a draw falls in cell k = floor(u m) and its index lies in
+    [t[k], t[k + 1]]. Where t[k] == t[k + 1] that value is the index. In
+    the other cells (at most n of the m, which hold a prefix sum) the
+    index is the first j >= t[k] with cs[j] > u top, or n - 1: up to
+    _GUIDE_STEPS steps j += 1 find it for almost every draw, and the full
+    search (_search) takes the draws still open.
+
+    Why the bracket holds. m is a power of two, so u m and k/m are exact
+    and k/m <= u < (k + 1)/m. Rounding a product with a positive top is
+    monotone, so e_k <= fl(u top) <= e_{k+1}; searchsorted and the clamp
+    to n - 1 are monotone in the key, so the index lies in [t[k], t[k + 1]].
+    Every index is that of the plain search, and u is all the randomness.
+
+    The table is kept with the prefix-sum array it was built from and
+    serves only that array, which add_center drops. It is built on the
+    first call of at least n uniforms against the array, since building it
+    costs about as much as n plain searches, and serves later calls of any
+    size.
+    """
     cs = state.cumsum()
     n = state.n_points
     top = cs[-1]
     guide = state._guide
     if guide is not None and guide[0] is cs:
         tab = guide[1]
-    elif size >= n and np.isfinite(top):
+    elif len(u) >= n and np.isfinite(top):
         tab = _guide_table(cs, top)
         state._guide = (cs, tab)
     else:
-        return np.minimum(np.searchsorted(cs, rng.random(size) * top, side="right"), n - 1)
-    u = rng.random(size)
+        return _search(cs, u * top)
     idx = tab[(u * len(tab)).astype(np.intp)]
     miss = np.flatnonzero(idx < 0)
-    idx[miss] = np.minimum(np.searchsorted(cs, u[miss] * top, side="right"), n - 1)
+    if len(miss):
+        key = u[miss] * top
+        j = -1 - idx[miss]
+        for _ in range(_GUIDE_STEPS):
+            j += (cs[j] <= key) & (j < n - 1)
+        open_ = np.flatnonzero((cs[j] <= key) & (j < n - 1))
+        j[open_] = _search(cs, key[open_])
+        idx[miss] = j
     return idx
 
 
+def _search(cs: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The index of each key by binary search: min(searchsorted(cs, key, "right"), n - 1)."""
+    return np.minimum(np.searchsorted(cs, key, side="right"), len(cs) - 1)
+
+
 def _guide_table(cs: np.ndarray, top) -> np.ndarray:
-    """Cell k < m holds t[k] where t[k] == t[k + 1], else -1 (t as in
-    d2_sample_batch).
+    """Cell k < m holds t[k] where t[k] == t[k + 1], else -1 - t[k] (t as
+    in _d2_index).
 
     t is built in O(n log m): prefix sum i lies at or below edge k exactly
     when k >= searchsorted(edges, cs[i], "left"), so t[k] counts the sums
@@ -234,7 +256,7 @@ def _guide_table(cs: np.ndarray, top) -> np.ndarray:
     edges = np.arange(m + 1, dtype=np.float64) * (1.0 / m) * top
     first = np.searchsorted(edges, cs, side="left")
     t = np.minimum(np.cumsum(np.bincount(first, minlength=m + 1)[:m + 1]), n - 1)
-    return np.where(t[:-1] == t[1:], t[:-1], -1)
+    return np.where(t[:-1] == t[1:], t[:-1], -1 - t[:-1])
 
 
 def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
@@ -336,15 +358,38 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     for j in W:
         w_arr[j] = ref_w[j]
         in_w_arr[j] = True
+
+    def accept(pts, cl):
+        """Acceptance probability of each draw pts[i] of cluster cl[i]; -1 outside W."""
+        p = np.full(len(pts), -1.0)
+        w = np.flatnonzero(in_w_arr[np.minimum(cl, len(in_w_arr) - 1)])
+        p[w] = _accept_prob(scale, w_arr[cl[w]], state.weights[pts[w]])
+        return p
+
+    # The pass's acceptance table, per point, for the L0 clusters discovered
+    # now; the weights do not change within a pass. A cluster of W that is
+    # still undiscovered gets an id above L0, so then the draws of clusters
+    # past L0 are looked up on their own.
+    L0 = reps.discovered_count
+    table = accept(np.arange(state.n_points), reps.rank_of_point(session))
+
+    def accept_drawn(pts, cl):
+        p = table[pts]
+        if max(W) > L0:
+            late = np.flatnonzero(cl > L0)
+            p[late] = accept(pts[late], cl[late])
+        return p
+
     while draws < draw_cap and any(v > 0 for v in need().values()):
         nd = need()
 
         got = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
         if got is not None:
             pts, cl, mult = got
-            in_w = in_w_arr[np.minimum(cl, len(in_w_arr) - 1)]
+            p = accept_drawn(pts, cl)
+            in_w = ~(p < 0.0)               # p is NaN where an infinite weight meets W
             pts_w, cl_w = pts[in_w], cl[in_w]
-            acc = rng.binomial(mult[in_w], _accept_prob(scale, w_arr[cl_w], state.weights[pts_w]))
+            acc = rng.binomial(mult[in_w], p[in_w])
             per_j = np.bincount(cl_w - 1, weights=acc, minlength=max(W))
             if all(per_j[j - 1] >= nd[j] for j in W):
                 chunk //= 4
@@ -363,9 +408,10 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
         idx = d2_sample_batch(state, rng, B)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, reps)
 
-        w_idx = np.flatnonzero(in_w_arr[np.minimum(cl, len(in_w_arr) - 1)])
+        p = accept_drawn(idx, cl)
+        w_idx = np.flatnonzero(~(p < 0.0))
         coins = rng.random(len(w_idx))
-        hit = w_idx[coins < _accept_prob(scale, w_arr[cl[w_idx]], state.weights[idx[w_idx]])]
+        hit = w_idx[coins < p[w_idx]]
 
         # Earliest draw position by which every quota is filled; a sequential
         # loop would stop right after it, or at the cap before it.
@@ -401,7 +447,7 @@ def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session,
 
     Each block snapshots the generator and draws _WALK_WORDS 64-bit words
     at once. With centers they are rng.random() doubles, each with its
-    candidate index from one searchsorted; before any center they are raw
+    candidate index from _d2_index; before any center they are raw
     words, from which _uniform_index replays integers(0, n). A coin is the
     next word as a double. A block ends at the quota fill, at the cap, or
     before a draw whose index words leave no word for a coin. On every
@@ -419,7 +465,6 @@ def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session,
     unmet = sum(1 for v in left.values() if v > 0)
     n = state.n_points
     uniform = not state.has_centers
-    cs = None if uniform else state.cumsum()
     thresh = (2 ** 32 - n) % n        # Lemire's rejection threshold for integers(0, n)
     bitgen = rng.bit_generator
     charge = session.charge
@@ -437,7 +482,7 @@ def _rej_walk(state, W, ref_w, scale, quota, accepted, *, rng, checker, session,
                 words = bitgen.random_raw(size).tolist()
             else:
                 u = rng.random(size)
-                xs = np.minimum(cs.searchsorted(u * cs[-1], side="right"), n - 1).tolist()
+                xs = _d2_index(state, u).tolist()
                 coins = u.tolist()
             end = size - 1                 # a draw leaves the last word for its coin
             while unmet and draws < draw_cap:

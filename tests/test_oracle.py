@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,41 @@ class TestClassifyBatch:
         np.testing.assert_array_equal(cl1, cl2)
         assert s1.ledger == s2.ledger
         assert r1.reps == r2.reps
+
+    def test_peek_follows_growth_and_keeps_its_table(self):
+        # Peeks between commits of random prefixes, provisional ids left
+        # uncommitted included, match classify() run on a copy of the state,
+        # with the point -> rank table built or not, and no peek writes
+        # that table.
+        rng = np.random.default_rng(12)
+        s, r = make_session(), Representatives()
+        grown = 0
+        for step in range(12):
+            xs = rng.integers(0, len(TRUTH), size=int(rng.integers(1, 2 * len(TRUTH))))
+            if step % 3 == 0:
+                r.rank_of_point(s)
+            table = r._rank_of_point
+            kept = None if table is None else table.copy()
+            cl, costs, new_firsts = peek_classify(s, xs, r)
+            if table is None:               # a peek of n points or more builds it
+                assert (r._rank_of_point is None) == (len(xs) < len(TRUTH))
+            else:
+                assert r._rank_of_point is table
+                np.testing.assert_array_equal(table, kept)
+            s2, r2 = copy.deepcopy((s, r))
+            want = []
+            for x in xs:
+                before = s2.ledger
+                want.append((classify(s2, int(x), r2), s2.ledger - before))
+            assert list(zip(cl.tolist(), costs.tolist())) == want
+            charged = costs.copy()
+            cl[:] = costs[:] = -1           # the peek's arrays share no memory with the table
+            if r._rank_of_point is not None:
+                np.testing.assert_array_equal(r._rank_of_point, r.rank_of_label(s)[s.truth])
+            before = r.discovered_count
+            commit_classify(s, r, charged, new_firsts, int(rng.integers(0, min(len(xs), 3) + 1)))
+            grown += r.discovered_count > before
+        assert r.discovered_count == 4 and grown >= 2
 
     def test_commit_prefix_only(self):
         xs = np.array([0, 2, 5, 8, 1, 3])

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from samecluster import sampling
 from samecluster.datasets import DatasetSpec, load
 from samecluster.geometry import GeometryError
-from samecluster.oracle import BudgetExhausted, OracleSession, Representatives
+from samecluster.oracle import BudgetExhausted, OracleSession, Representatives, classify
 from samecluster.sampling import (
     FullyCovered,
     SamplerState,
@@ -335,6 +336,9 @@ def _weight_cases():
         yield f"scale {scale:g}", rng.random(500) * scale
         yield f"runs at scale {scale:g}", np.repeat(rng.integers(0, 3, size=30), 7) * scale
     yield "heavy tail", rng.pareto(0.5, size=400)
+    # A subnormal total: u top rounds up to top for u near 1.
+    yield "subnormal total", np.ldexp(rng.random(300), -1070)
+    yield "subnormal, a trailing zero", np.ldexp(np.append(rng.random(40), 0.0), -1066)
 
 
 class TestGuideTable:
@@ -397,6 +401,28 @@ class TestGuideTable:
         assert np.count_nonzero(st.cumsum() == edges) >= n // 2
         d2_sample_batch(st, rng, n)
         self.check_boundaries(st)
+
+    @pytest.mark.parametrize("weights", [
+        np.concatenate([[0.3], np.zeros(1000), [0.7]]),
+        np.append(np.full(10 ** 4, 1e-9), 1e6),
+        np.insert(np.full(10 ** 4, 1e-9), 0, 1e6),
+    ], ids=["1000 zeros between two weights", "tiny weights then a huge one",
+            "a huge weight then tiny ones"])
+    def test_crowded_cells_fall_back_to_the_search(self, monkeypatch, weights):
+        # One cell holds far more prefix sums than the refinement steps
+        # through, so the draws past its first sums take the full search.
+        st = _weighted_state(weights)
+        d2_sample_batch(st, np.random.default_rng(0), len(weights))
+        search, searched = sampling._search, []
+
+        def search_spy(cs, key):
+            searched.append(len(key))
+            return search(cs, key)
+
+        monkeypatch.setattr(sampling, "_search", search_spy)
+        self.check_boundaries(st)
+        assert max(searched) > 0
+        self.check(st, 4, 40 * len(weights))
 
     def test_small_calls_build_no_table(self):
         st = _weighted_state(np.arange(1.0, 101.0))
@@ -529,6 +555,39 @@ class TestRejSamp:
         assert len(outs[0][0][2]) == 20
         assert outs[1] == outs[0]
 
+    @pytest.mark.parametrize("shift", [0, -1060], ids=["normal weights", "subnormal weights"])
+    def test_draw_ordered_matches_draw_at_a_time(self, shift):
+        # A budgeted session takes the draw-ordered batches. Reference
+        # weights of 0, of a subnormal and of 1e3 with eps = 1e308 give
+        # acceptance ratios that are zero, subnormal or past float64, and
+        # the first pass starts with no cluster discovered. Times 2^-1060,
+        # every weight is subnormal.
+        rng = np.random.default_rng(13)
+        labels = np.repeat([1, 2, 3, 4], 250)
+        weights = rng.uniform(0.5, 1.5, size=1000)
+        weights[[0, 250, 500, 750]] = 0.0, 1e-310, 1e3, 5e-324
+        weights = np.ldexp(weights, shift)
+        passes = [  # W, refs, quota, eps, draw cap
+            ([1, 2, 3, 4], {1: 0, 2: 250, 3: 500, 4: 750}, 40, 1.0, 6000),
+            ([1, 3], {1: 500, 3: 501}, 300, 1e308, 10 ** 6),
+            ([2, 4], {2: 250, 4: 900}, 60, 1.0, 5000),
+            ([3], {3: 600}, 25, 0.5, 10 ** 6),
+        ]
+        outs = []
+        for rej in (rej_samp, rej_samp_ordered_reference):
+            st = _weighted_state(weights)
+            session = OracleSession(labels, budget=10 ** 15)
+            reps, gen = Representatives(), np.random.default_rng(14)
+            out = []
+            for W, refs, T, eps, cap in passes:
+                got = rej(st, session, W, refs, T, eps, rng=gen, reps=reps, draw_cap=cap)
+                out.append((got, session.ledger, dict(reps.reps), gen.bit_generator.state))
+            outs.append(out)
+        assert outs[0] == outs[1]
+        sizes = [{j: len(v) for j, v in got[0].items()} for got, *_ in outs[0]]
+        assert [got[1] for got, *_ in outs[0]][::2] == [6000, 5000]
+        assert min(sizes[1].values()) >= 300 and sizes[3] == {3: 25}
+
     def test_batched_matches_scalar_checker_quota_stop(self):
         # The checker path stops exactly at the filling draw. It checks each
         # distinct point once and charges every draw its check's cost.
@@ -550,6 +609,46 @@ class TestRejSamp:
         assert len(accepted[1]) == 5
         assert session.ledger == draws
         assert len(calls) == len(set(calls))
+
+
+def rej_samp_ordered_reference(state, session, W, refs, T, eps, *, rng, reps, draw_cap):
+    """The draw-ordered exact rejection pass, one draw at a time.
+
+    Batches of the sizes rej_samp picks, each B indices by plain search;
+    then, draw by draw, classify() and, for a draw of W, one rng.random()
+    coin against min(1, (eps/128) w(ref)/w(x)) worked out for that draw
+    alone. Past the quota fill or the cap the batch's later draws are
+    classified on a copy of the session and representatives, and their
+    coins drawn and dropped, as the batched pass draws a whole batch.
+    """
+    scale = eps / 128.0
+    accepted = {j: [] for j in W}
+    draws, guess, start = 0, 0.05, session.ledger
+
+    def need():
+        return {j: T - len(accepted[j]) for j in W}
+
+    while draws < draw_cap and any(v > 0 for v in need().values()):
+        B = int(min(max(4096, max(need().values()) / max(guess, 1e-6) * 1.5), 2 ** 16))
+        live_session, live_reps, hits = session, reps, 0
+        for x in d2_sample_reference(state.cumsum(), rng, B).tolist():
+            live = live_session is session
+            if live and (draws == draw_cap or all(v <= 0 for v in need().values())):
+                live_session, live_reps = copy.deepcopy((session, reps))
+                live = False
+            j = classify(live_session, x, live_reps)
+            draws += live
+            if j not in W:
+                continue
+            wx = state.weights[x]
+            with np.errstate(over="ignore"):
+                p = 1.0 if wx <= 0.0 else min(1.0, scale * state.weights[refs[j]] / wx)
+            if rng.random() < p:
+                hits += 1
+                if live:
+                    accepted[j].append(x)
+        guess = max(hits / B, 1e-4)
+    return accepted, draws, session.ledger - start
 
 
 def _four_blobs():
