@@ -112,8 +112,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("reduce-check", help="reducibility check on ground truth")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--recovered", required=True, type=_int_list,
-                   help="comma-separated recovered truth labels")
+    p.add_argument("--recovered", required=True,
+                   help="comma-separated recovered labels, as the file writes them")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--out")
 
@@ -145,10 +145,13 @@ def _dispatch(args) -> int:
 
     if args.command == "reduce-check":
         ps, mapping = load(DatasetSpec(args.dataset))
+        recovered = [v.strip() for v in args.recovered.split(",") if v.strip()]
+        unknown = [v for v in recovered if v not in mapping]
+        if unknown:
+            raise ValueError(f"labels not in {args.dataset}: {', '.join(unknown)}")
+        ok, ratio, offender = check_reducibility(ps, [mapping[v] for v in recovered], args.eps)
         label_of = {v: k for k, v in mapping.items()}
-        ok, ratio, offender = check_reducibility(ps, args.recovered, args.eps)
-        doc = {"reducible": ok, "worst_ratio": ratio,
-               "offender": label_of.get(offender, offender)}
+        doc = {"reducible": ok, "worst_ratio": ratio, "offender": label_of.get(offender)}
         text = json.dumps(doc, indent=1)
         if args.out:
             with open(args.out, "w") as fh:

@@ -33,18 +33,21 @@ def load(spec: DatasetSpec):
     """
     path = Path(spec.path)
     rows: list[list[str]] = []
+    linenos: list[int] = []         # the file line each row ends on
     header: list[str] | None = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if spec.has_header and header is None:
                 header = [c.strip() for c in row]
                 continue
             rows.append([c.strip() for c in row])
+            linenos.append(reader.line_num)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
+    width = len(rows[0])
 
     if isinstance(spec.label_column, str):
         if header is None:
@@ -53,14 +56,14 @@ def load(spec: DatasetSpec):
             label_idx = header.index(spec.label_column)
         except ValueError:
             raise DatasetError(f"label column {spec.label_column!r} not in header")
+    elif -width <= spec.label_column < width:
+        label_idx = spec.label_column % width
     else:
-        label_idx = spec.label_column % len(rows[0])
+        raise DatasetError(f"label column {spec.label_column} outside a {width}-field row")
 
-    width = len(rows[0])
     features = np.empty((len(rows), width - 1), dtype=np.float64)
     raw_labels: list[str] = []
-    for i, row in enumerate(rows):
-        lineno = i + 1 + (1 if spec.has_header else 0)
+    for i, (row, lineno) in enumerate(zip(rows, linenos)):
         if len(row) != width:
             raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         feat = [c for j, c in enumerate(row) if j != label_idx]

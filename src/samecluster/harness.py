@@ -312,11 +312,15 @@ def check_reducibility(X: PointSet, recovered_labels, eps: float):
     """Definition-style check: every left-out cluster must be covered by the
     recovered clusters' true centroids at cost <= eps times their own cost.
 
-    Returns (passes, worst ratio, offending label or None)."""
+    Labels are the point set's ids 1..K. Returns (passes, worst ratio,
+    offending label or None)."""
     if X.labels is None:
         raise ValueError("reducibility check needs ground-truth labels")
     recovered = sorted(set(int(l) for l in recovered_labels))
     all_labels = range(1, X.n_clusters + 1)
+    bad = [lab for lab in recovered if lab not in all_labels]
+    if bad:
+        raise ValueError(f"labels {bad} outside 1..{X.n_clusters}")
     centers = CenterSet({lab: X.cluster_points(lab).mean(axis=0)
                          for lab in recovered})
     base = sum(cost(X.cluster_points(lab), CenterSet({lab: centers[lab]}))

@@ -199,32 +199,24 @@ class RunState:
         self.rng = np.random.default_rng(config.seed)
         self.sampler = SamplerState(X.points)
         self.reps = Representatives()
-        self.I: list[int] = []
-        self.recovered: set[int] = set()
-        self.centers: dict[int, np.ndarray] = {}
-        self.counts = np.zeros(8, dtype=np.int64)       # per discovered id, 1-based
-        # Sampled-point bitmaps: row cid - 1 marks the points drawn for cid.
-        self.masks = np.zeros((8, len(X)), dtype=bool)
+        self.centers: dict[int, np.ndarray] = {}        # the recovered clusters, in order
+        self.counts = np.zeros(8, dtype=np.int64)       # samples per id since the reset
+        # The cluster each point was drawn for since the reset, 0 if none:
+        # one, since a committed id is its label's discovery rank.
+        self.owner = np.zeros(len(X), dtype=np.int64)
         self.accepted: dict[int, list[int]] = {}        # _ExpEngine uniform pools per cluster
-        self.s_total = 0
         self.draws = 0
         self.round = 0
         self.logs: list[dict] = []
 
-    # -- growth helpers -----------------------------------------------------
-
-    def _ensure_capacity(self, cid: int):
-        while cid > len(self.counts):
-            self.counts = np.concatenate([self.counts, np.zeros(len(self.counts), dtype=np.int64)])
-            self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
-
-    def mask_of(self, cid: int) -> np.ndarray:
-        """Cluster cid's sampled-point bitmap (a view of its row)."""
-        return self.masks[cid - 1]
-
     @property
     def k(self) -> int:
-        return len(self.I)
+        return len(self.centers)
+
+    @property
+    def s_total(self) -> int:
+        """Samples since the last reset."""
+        return int(self.counts.sum())
 
     @property
     def L(self) -> int:
@@ -233,30 +225,28 @@ class RunState:
     def Q(self) -> list[int]:
         """Sampled-but-unrecovered clusters."""
         return [cid for cid in range(1, self.L + 1)
-                if cid not in self.recovered and self.counts[cid - 1] > 0]
+                if cid not in self.centers and self.counts[cid - 1] > 0]
 
     def reset_round_state(self):
         """Theory semantics without sample reuse: Q, S and pools start empty."""
         self.counts[:] = 0
-        self.masks[:] = False
+        self.owner[:] = 0
         self.accepted = {cid: pool for cid, pool in self.accepted.items()
-                         if cid in self.recovered}
-        self.s_total = 0
+                         if cid in self.centers}
 
     # -- sample ingestion ---------------------------------------------------
 
     def ingest(self, idx: np.ndarray, cl: np.ndarray, mult: np.ndarray | None = None):
-        """Record committed classified draws into counts and bitmaps: point
+        """Record committed classified draws into counts and owners: point
         idx[i] of cluster cl[i], drawn mult[i] times (once without mult)."""
         if len(idx) == 0:
             return
-        self._ensure_capacity(int(cl.max()))
+        while cl.max() > len(self.counts):
+            self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
         self.counts += np.bincount(cl - 1, weights=mult,
                                   minlength=len(self.counts)).astype(np.int64)
-        self.masks[cl - 1, idx] = True
-        total = len(idx) if mult is None else int(mult.sum())
-        self.s_total += total
-        self.draws += total
+        self.owner[idx] = cl
+        self.draws += len(idx) if mult is None else int(mult.sum())
 
     def commit_peeked(self, idx: np.ndarray, cl: np.ndarray, costs: np.ndarray,
                       new_firsts, upto: int):
@@ -277,7 +267,7 @@ class RunState:
 
         The draws come in chunks of up to _FILL_BATCH. Without a budget, a
         chunk is taken as counts (sampling.counts_chunk), since the draw
-        order does not change counts, ledger sums or bitmaps. A chunk that
+        order does not change counts, ledger sums or owners. A chunk that
         holds an undiscovered cluster, and every chunk of a budgeted run,
         is drawn again in order (d2_sample_batch, peek_classify,
         commit_peeked), so that registrations and per-draw costs, and the
@@ -308,8 +298,6 @@ class RunState:
     def record_recovery(self, cid: int, center: np.ndarray):
         """Record a recovered cluster and its center; the D2 weights stay."""
         self.centers[cid] = np.asarray(center, dtype=np.float64)
-        self.I.append(cid)
-        self.recovered.add(cid)
 
     def commit_recovery(self, cid: int, center: np.ndarray):
         """Record a recovered cluster and add its center to the sampler."""
@@ -331,7 +319,7 @@ class RunState:
 
     def reference_for(self, cid: int) -> int:
         """The minimum-weight point sampled for cid (sampling.reference_point)."""
-        return _sampling.reference_point(np.flatnonzero(self.mask_of(cid)), self.sampler)
+        return _sampling.reference_point(np.flatnonzero(self.owner == cid), self.sampler)
 
     def rej_samp(self, W, refs: dict, quota: int, **kwargs) -> tuple[dict, list[int]]:
         """sampling.rej_samp within the draws left under the cap.
@@ -388,8 +376,8 @@ class RunState:
 
     def finalize(self, algorithm: str, stop_reason: str) -> RecoveryResult:
         res = RecoveryResult(algorithm=algorithm, seed=self.config.seed)
-        res.I = list(self.I)
-        res.centers = {cid: self.centers[cid].tolist() for cid in self.I}
+        res.I = list(self.centers)
+        res.centers = {cid: c.tolist() for cid, c in self.centers.items()}
         res.reps = {cid: int(self.reps.rep_point(cid)) for cid in range(1, self.L + 1)}
         res.K_recovered = self.k
         res.L_discovered = self.L
@@ -403,7 +391,7 @@ class RunState:
         # The majority label of the cluster's representatives (the one
         # representative of an exact run).
         if self.X.labels is not None:
-            for cid in self.I:
+            for cid in self.centers:
                 labs, n = np.unique(self.X.labels[np.asarray(self.reps.members(cid))],
                                     return_counts=True)
                 lab = int(labs[np.argmax(n)])
@@ -434,7 +422,7 @@ def phase1_probe(run: RunState) -> bool:
             return False
         cl = _oracle.classify_batch(run.session, idx, run.reps)
         run.ingest(idx, cl)
-        if int(cl[0]) not in run.recovered:
+        if int(cl[0]) not in run.centers:
             return True
     return bool(run.Q())
 
@@ -617,7 +605,7 @@ def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
     m = run.L + len(new_firsts)
     live = np.ones(m + 1, dtype=bool)
     live[0] = False
-    live[list(run.recovered)] = False
+    live[list(run.centers)] = False
     counts = np.zeros(m + 1, dtype=np.int64)      # live counts before a segment
     counts[1:run.L + 1] = run.counts[:run.L]
     counts[~live] = 0
@@ -757,14 +745,14 @@ class _ExpEngine:
         L = run.L
         counts = np.maximum(run.counts[:L], 1)
         centers = self.sums[:L] / counts[:, None]
-        for cid in run.recovered:
-            centers[cid - 1] = run.centers[cid]
+        for cid, c in run.centers.items():
+            centers[cid - 1] = c
         return centers
 
     def live(self) -> np.ndarray:
         """Per discovered cluster: not recovered."""
         live = np.ones(self.run.L, dtype=bool)
-        live[[c - 1 for c in self.run.recovered]] = False
+        live[[c - 1 for c in self.run.centers]] = False
         return live
 
     def take(self, limit: int, pick=None) -> tuple[np.ndarray, list[int]]:
@@ -829,7 +817,7 @@ class _ExpEngine:
         # row L + (g, k) is segment g's center after k of its draws.
         table = np.concatenate([self._centers_matrix(), means.reshape(-1, P.shape[1])])
         index = np.tile(np.arange(L), (m, 1))
-        moving = np.array([c not in run.recovered for c in ids.tolist()], dtype=bool)
+        moving = np.array([c not in run.centers for c in ids.tolist()], dtype=bool)
         drawn = cl[:, None] == ids[moving]
         index[:, ids[moving] - 1] = (L + np.flatnonzero(moving) * seg.width
                                      + np.cumsum(drawn, axis=0) - drawn)
@@ -885,7 +873,7 @@ class _ExpEngine:
         return cl[:upto], ready
 
     def _ingest(self, xs, cl, hit, live):
-        """Commit draws: counts, masks and sums, then refs and pools."""
+        """Commit draws: counts, owners and sums, then refs and pools."""
         run = self.run
         self._pos += len(xs)
         run.ingest(xs, cl)
@@ -1083,7 +1071,7 @@ def _uniform_scan(run: RunState, cl: np.ndarray, h: int,
     k = run.k
     target = run.target
     events: list[tuple[int, int]] = []
-    recovered = set(run.recovered)
+    recovered = set(run.centers)
     counts: dict[int, int] = {}
     for p, cid in enumerate(cl.tolist()):
         if cid not in recovered:

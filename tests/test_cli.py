@@ -172,6 +172,24 @@ class TestReduceCheck:
         assert run_cli(["reduce-check", "--dataset", str(data),
                         "--recovered", "1", "--eps", "0.0001"]) == 2
 
+    def test_labels_as_the_file_writes_them(self, tmp_path, capsys):
+        # Labels 7, 3, 5 load as ids 1, 2, 3 (first occurrence); --recovered
+        # and the offender are both file labels.
+        data = tmp_path / "relabelled.csv"
+        data.write_text("0,0,7\n0,1,7\n100,0,3\n100,1,3\n2,0,5\n2,1,5\n")
+        capsys.readouterr()
+        assert run_cli(["reduce-check", "--dataset", str(data), "--recovered", "7"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["offender"] == "3" and 1.0 < doc["worst_ratio"] < float("inf")
+        assert run_cli(["reduce-check", "--dataset", str(data),
+                        "--recovered", "3,5,7"]) == 0
+        assert json.loads(capsys.readouterr().out)["offender"] is None
+        for unknown in ("9", "1", "7,9"):
+            assert run_cli(["reduce-check", "--dataset", str(data),
+                            "--recovered", unknown]) == 1
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "ValueError" and "labels not in" in err["message"]
+
 
 class TestErrorContract:
     def test_machine_readable_error(self, tmp_path, capsys):

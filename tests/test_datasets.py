@@ -74,3 +74,25 @@ class TestLoad:
         p = write(tmp_path, "1,2,a\n1,b\n")
         with pytest.raises(DatasetError, match="expected 3 fields"):
             load(DatasetSpec(p))
+
+    def test_errors_cite_the_file_line(self, tmp_path):
+        # Blank lines and a header still count as lines of the file.
+        p = write(tmp_path, "1,a\n\n\nnope,b\n")
+        with pytest.raises(DatasetError, match=r"data\.csv:4:"):
+            load(DatasetSpec(p))
+        p = write(tmp_path, "f,cls\n\n1,a\n\n2,3,b\n")
+        with pytest.raises(DatasetError, match=r"data\.csv:5: expected 2 fields"):
+            load(DatasetSpec(p, has_header=True))
+
+    @pytest.mark.parametrize("column", [3, 5, -4, -7])
+    def test_label_column_outside_the_row_rejected(self, tmp_path, column):
+        p = write(tmp_path, "1,2,a\n3,4,b\n")
+        with pytest.raises(DatasetError, match="outside a 3-field row"):
+            load(DatasetSpec(p, label_column=column))
+
+    @pytest.mark.parametrize("column", [1, -2])
+    def test_label_column_inside_the_row(self, tmp_path, column):
+        p = write(tmp_path, "1,a,2\n3,b,5\n4,a,7\n")
+        ps, mapping = load(DatasetSpec(p, label_column=column))
+        assert mapping == {"a": 1, "b": 2}
+        np.testing.assert_array_equal(ps.labels, [1, 2, 1])

@@ -251,6 +251,12 @@ class TestCheckReducibility:
         with pytest.raises(ValueError):
             check_reducibility(PointSet(np.zeros((3, 2))), [1], 0.5)
 
+    @pytest.mark.parametrize("label", [0, 3, 7])
+    def test_label_outside_ids_is_rejected(self, label):
+        ps = PointSet(np.arange(8.0).reshape(4, 2), labels=np.array([1, 1, 2, 2]))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            check_reducibility(ps, [1, label], 0.5)
+
 
 class TestRoundTrips:
     def test_table_csv(self, tmp_path):

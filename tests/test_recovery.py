@@ -247,7 +247,7 @@ def improved_phase2_reference(run: RunState, trace: list | None = None):
     budget = session.budget
     tracker = _BandTracker({cid: int(run.counts[cid - 1]) for cid in run.Q()})
     label_to_cid = {int(truth[run.reps.rep_point(c)]): c for c in range(1, run.L + 1)}
-    excluded = run.recovered
+    excluded = run.centers
     drawn_x: list[int] = []
     drawn_cid: list[int] = []
     s_now = run.s_total
@@ -288,7 +288,7 @@ def improved_phase2_reference(run: RunState, trace: list | None = None):
 def _phase2_state(run: RunState, outcome) -> tuple:
     return (outcome, run.session.ledger, run.s_total, run.draws,
             run.counts.tolist(), dict(run.reps.reps),
-            np.argwhere(run.masks).tolist(), run.rng.bit_generator.state)
+            run.owner.tolist(), run.rng.bit_generator.state)
 
 
 def _run_phase2(phase2, snapshot: RunState, budget: int | None = None) -> tuple:
@@ -439,7 +439,8 @@ class TestPhase2Reference:
                     want = stop if stop is not None and stop < end else None
                     cuts = [p for p in firsts if 0 < p < end]
                     run = SimpleNamespace(config=SimpleNamespace(eps=eps), k=len(recovered), L=L,
-                                          recovered=recovered, counts=counts.copy(), s_total=s_before)
+                                          centers=dict.fromkeys(recovered), counts=counts.copy(),
+                                          s_total=s_before)
                     segments.clear()
                     got = recovery._phase2_stop(run, cl[:end], [(p, 0) for p in firsts if p < end])
                     assert got == want
@@ -705,7 +706,7 @@ def uniform_reference(X: PointSet, session: OracleSession, config: RecoveryConfi
                 cid = classify(session, x, run.reps)
                 run.draws += 1
                 pending.setdefault(cid, []).append(x)
-                if cid not in run.recovered and len(pending[cid]) > h:
+                if cid not in run.centers and len(pending[cid]) > h:
                     run.commit_recovery(cid, X.points[pending[cid][:h + 1]].mean(axis=0))
                     if target is not None and run.k >= target:
                         break
@@ -769,8 +770,8 @@ class StepEngine:
         L = run.L
         counts = np.maximum(run.counts[:L], 1)
         centers = self.sums / counts[:, None]
-        for cid in run.recovered:
-            centers[cid - 1] = run.centers[cid]
+        for cid, c in run.centers.items():
+            centers[cid - 1] = c
         return centers
 
     def step(self) -> int:
@@ -805,7 +806,7 @@ class StepEngine:
         if cid > len(self.sums):
             self.sums = np.vstack([self.sums, np.zeros((1, run.X.dim))])
         self.sums[cid - 1] += run.X.points[x]
-        if cid not in run.recovered:
+        if cid not in run.centers:
             ref = self.refs.get(cid)
             w = run.sampler.weights
             self.zero_weight_draws += bool(w[x] <= 0.0)
@@ -827,7 +828,7 @@ def probe_reference(run: RunState, engine: StepEngine) -> bool:
             cid = engine.step()
         except sampling.FullyCovered:
             return seen_new
-        if cid not in run.recovered:
+        if cid not in run.centers:
             seen_new = True
     return seen_new
 
@@ -927,7 +928,7 @@ def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
     L = run.L
     return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
             engine.refs, run.accepted, run.counts[:L].tolist(), engine.sums[:L].tobytes(),
-            np.argwhere(run.masks).tolist())
+            run.owner.tolist())
 
 
 _experiment_rounds_block = recovery._experiment_rounds
@@ -1011,7 +1012,7 @@ class TestPhase1Probe:
         run = RunState(ps, sess, RecoveryConfig(eps=0.5, seed=0))
         assert phase1_probe(run) is True      # first round discovers
         cl1 = run.Q()[0]
-        run.commit_recovery(cl1, ps.points[run.mask_of(cl1)].mean(axis=0))
+        run.commit_recovery(cl1, ps.points[run.owner == cl1].mean(axis=0))
         draws_before = run.draws
         assert phase1_probe(run) is False
         assert run.draws - draws_before == math.floor(threshold_t1(0.5, 1)) + 1
@@ -1151,83 +1152,142 @@ class TestReuseModes:
 
 
 class IngestReference:
-    """RunState's sample ingestion as a loop over clusters: one bitmap per
-    cluster, created on first use."""
+    """RunState's sample ingestion as a loop over clusters: one set of
+    sampled points per cluster, created on first use."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.masks: dict[int, np.ndarray] = {}
+    def __init__(self):
+        self.points: dict[int, set[int]] = {}
         self.counts: dict[int, int] = {}
         self.s_total = 0
-
-    def mask(self, cid: int) -> np.ndarray:
-        return self.masks.setdefault(cid, np.zeros(self.n, dtype=bool))
 
     def ingest(self, idx, cl, mult=None):
         if mult is None:
             mult = np.ones(len(idx), dtype=np.int64)
         for cid in np.unique(cl).tolist():
-            self.mask(cid)[idx[cl == cid]] = True
+            self.points.setdefault(cid, set()).update(idx[cl == cid].tolist())
             self.counts[cid] = self.counts.get(cid, 0) + int(mult[cl == cid].sum())
         self.s_total += int(mult.sum())
 
     def reset(self):
-        self.masks.clear()
+        self.points.clear()
         self.counts.clear()
         self.s_total = 0
 
 
+def least_weight(points, weights: np.ndarray) -> int:
+    """The least-weight point of a set, ties to the lowest index."""
+    return min(points, key=lambda x: (weights[x], x))
+
+
+def owner_table(points: dict[int, set[int]], n: int) -> list[int]:
+    """Per point, the cluster whose set holds it, 0 if none."""
+    owner = np.zeros(n, dtype=np.int64)
+    for cid, xs in points.items():
+        owner[list(xs)] = cid
+    return owner.tolist()
+
+
 class TestIngestReference:
-    """ingest, with and without multiplicities, leaves the bitmaps, counts and
-    sample total of the per-cluster loop, across capacity growth and
-    round resets."""
+    """ingest, with and without multiplicities, leaves the owners, counts
+    and sample total of the per-cluster loop, across capacity growth and
+    round resets. Each point's cluster comes from one fixed point->cluster
+    table, as in a run, where a point classifies to one cluster."""
 
     @staticmethod
     def same(run: RunState, ref: IngestReference):
-        want = sorted((cid - 1, int(x)) for cid, m in ref.masks.items()
-                      for x in np.flatnonzero(m))
-        assert np.argwhere(run.masks).tolist() == [list(p) for p in want]
+        assert run.owner.tolist() == owner_table(ref.points, len(run.owner))
         counts = np.zeros(len(run.counts), dtype=np.int64)
         for cid, c in ref.counts.items():
             counts[cid - 1] = c
         assert run.counts.tolist() == counts.tolist()
         assert run.s_total == ref.s_total
-        for cid, m in ref.masks.items():
-            assert run.mask_of(cid).tobytes() == m.tobytes()
-            if m.any():
-                idxs = np.flatnonzero(m)
-                want_ref = int(idxs[np.argmin(run.sampler.weights[idxs])])
-                assert run.reference_for(cid) == want_ref
+        for cid, xs in ref.points.items():
+            assert run.reference_for(cid) == least_weight(xs, run.sampler.weights)
 
     @pytest.mark.parametrize("reuse", [True, False])
     def test_matches_per_cluster_loop(self, reuse):
         rng = np.random.default_rng(11)
         n = 400
         ps = PointSet(rng.normal(size=(n, 2)), labels=rng.integers(1, 31, size=n))
+        table = ps.labels
         run = RunState(ps, OracleSession(ps.labels),
                        RecoveryConfig(eps=0.5, seed=0, reuse_samples=reuse))
         run.sampler.weights = rng.integers(0, 5, size=n).astype(np.float64)
-        ref = IngestReference(n)
+        ref = IngestReference()
         capacities = {len(run.counts)}
         for step, top in enumerate([3, 5, 8, 9, 12, 16, 17, 24, 30, 30]):
             if step % 3 == 2:
                 run.new_round()
                 if not reuse:
                     ref.reset()
-            idx = rng.integers(0, n, size=int(rng.integers(1, 60)))
-            cl = rng.integers(1, top + 1, size=len(idx))
-            run.ingest(idx, cl)
-            ref.ingest(idx, cl)
+            pool = np.flatnonzero(table <= top)
+            idx = rng.choice(pool, size=int(rng.integers(1, 60)))
+            run.ingest(idx, table[idx])
+            ref.ingest(idx, table[idx])
             self.same(run, ref)
-            x, cid = int(rng.integers(0, n)), int(rng.integers(1, top + 1))
-            run.ingest(np.array([x]), np.array([cid]))
-            ref.ingest(np.array([x]), np.array([cid]))
+            x = rng.choice(pool, size=1)
+            run.ingest(x, table[x])
+            ref.ingest(x, table[x])
             self.same(run, ref)
-            sampled = np.unique(rng.integers(0, n, size=25))
-            cl = rng.integers(1, top + 1, size=len(sampled))
+            sampled = np.unique(rng.choice(pool, size=25))
             mult = rng.integers(1, 4, size=len(sampled))
-            run.ingest(sampled, cl, mult)
-            ref.ingest(sampled, cl, mult)
+            run.ingest(sampled, table[sampled], mult)
+            ref.ingest(sampled, table[sampled], mult)
             self.same(run, ref)
             capacities.add(len(run.counts))
         assert capacities == {8, 16, 32}
+
+
+class TestSampleRecord:
+    """The sample record over whole runs of the five exact runners: no point
+    is ingested under two clusters, and every reference point is the
+    least-weight, lowest-index point ingested for its cluster since the
+    last reset."""
+
+    @pytest.mark.parametrize("runner", [
+        run_basic, run_improved, run_basic_simplified, run_improved_simplified,
+        run_uniform,
+    ])
+    def test_one_cluster_per_point(self, runner, monkeypatch):
+        ps = well_separated(sizes=(500, 350, 250))
+        spy = {}
+        ingest, reset, reference_for = (RunState.ingest, RunState.reset_round_state,
+                                        RunState.reference_for)
+
+        def spy_ingest(self, idx, cl, mult=None):
+            spy["run"] = self
+            for x, c in zip(idx.tolist(), cl.tolist()):
+                assert spy["owner"].setdefault(x, c) == c, (x, c)
+                spy["since_reset"].setdefault(c, set()).add(x)
+            ingest(self, idx, cl, mult)
+
+        def spy_reset(self):
+            spy["since_reset"].clear()
+            reset(self)
+
+        def spy_reference_for(self, cid):
+            got = reference_for(self, cid)
+            assert got == least_weight(spy["since_reset"][cid], self.sampler.weights)
+            spy["checked"] += 1
+            return got
+
+        monkeypatch.setattr(RunState, "ingest", spy_ingest)
+        monkeypatch.setattr(RunState, "reset_round_state", spy_reset)
+        monkeypatch.setattr(RunState, "reference_for", spy_reference_for)
+
+        def spied_run(cfg, budget):
+            spy.update(owner={}, since_reset={}, checked=0)
+            res = runner(ps, OracleSession(ps.labels, budget=budget), cfg, target=3)
+            run = spy["run"]
+            # Every cluster sampled since the last reset, at the end.
+            for cid in spy["since_reset"]:
+                run.reference_for(cid)
+            assert spy["checked"] >= len(spy["since_reset"]) > 0
+            assert run.owner.tolist() == owner_table(spy["since_reset"], len(ps))
+            return res
+
+        for reuse in (True, False):
+            cfg = RecoveryConfig(eps=1.0, seed=3, reuse_samples=reuse)
+            full = spied_run(cfg, None)
+            assert full.stop_reason == "target"
+            assert spied_run(cfg, full.queries_total // 2).stop_reason == "budget"
