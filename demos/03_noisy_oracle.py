@@ -25,8 +25,8 @@ labels = np.repeat([1, 2, 3], 400)
 
 print("== majority votes survive a p=0.2 oracle ==")
 session = OracleSession(labels, error_prob=0.2, rng_seed=5)
-reps = Representatives(noisy=True)
-reps.reps[1] = list(range(0, 30))          # 30 members of cluster 1
+reps = Representatives()
+reps.add_cluster(*range(30))               # 30 members of cluster 1
 x_same, x_other = 100, 500                 # a cluster-1 point, a cluster-2 point
 print(f"point of the same cluster    -> {check_cluster(session, x_same, reps)}")
 print(f"point of a different cluster -> {check_cluster(session, x_other, reps)}")

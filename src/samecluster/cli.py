@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import get_type_hints
 
@@ -151,8 +152,10 @@ def _dispatch(args) -> int:
             raise ValueError(f"labels not in {args.dataset}: {', '.join(unknown)}")
         ok, ratio, offender = check_reducibility(ps, [mapping[v] for v in recovered], args.eps)
         label_of = {v: k for k, v in mapping.items()}
-        doc = {"reducible": ok, "worst_ratio": ratio, "offender": label_of.get(offender)}
-        text = json.dumps(doc, indent=1)
+        # An infinite ratio is written as null: JSON has no infinity.
+        doc = {"reducible": ok, "worst_ratio": ratio if math.isfinite(ratio) else None,
+               "offender": label_of.get(offender)}
+        text = json.dumps(doc, indent=1, allow_nan=False)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

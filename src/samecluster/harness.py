@@ -312,11 +312,17 @@ def check_reducibility(X: PointSet, recovered_labels, eps: float):
     """Definition-style check: every left-out cluster must be covered by the
     recovered clusters' true centroids at cost <= eps times their own cost.
 
-    Labels are the point set's ids 1..K. Returns (passes, worst ratio,
-    offending label or None)."""
+    Labels are the point set's ids 1..K, at least one of them, and eps is
+    finite and positive. Returns (passes, worst ratio, offending label or
+    None); the ratio is inf where the recovered clusters cost 0 and a
+    left-out one does not."""
     if X.labels is None:
         raise ValueError("reducibility check needs ground-truth labels")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     recovered = sorted(set(int(l) for l in recovered_labels))
+    if not recovered:
+        raise ValueError("reducibility check needs at least one recovered label")
     all_labels = range(1, X.n_clusters + 1)
     bad = [lab for lab in recovered if lab not in all_labels]
     if bad:

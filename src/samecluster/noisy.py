@@ -83,16 +83,6 @@ def find_clusters(samples, session: OracleSession, config: NoisyConfig):
     return list(Z), Z
 
 
-def _capped_reps(members, cap: int) -> list[int]:
-    out: dict[int, None] = {}
-    for x in members:
-        if x not in out:
-            out[x] = None
-            if len(out) >= cap:
-                break
-    return list(out)
-
-
 def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
               eps: float, *, seed: int = 0, draw_cap: int = 10 ** 8,
               target: int | None = None) -> RecoveryResult:
@@ -102,7 +92,6 @@ def run_noisy(X: PointSet, session: OracleSession, config: NoisyConfig,
     if abs(session.error_prob - config.p) > 1e-12:
         raise ValueError("session error probability differs from config.p")
     run = RunState(X, session, rconfig, target)
-    run.reps = Representatives(noisy=True)   # recovered clusters only
     return run.execute("noisy", k_doubling, _noisy_probe,
                        lambda r, k_guess, log: _noisy_round(r, config, k_guess, log))
 
@@ -151,28 +140,29 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
     groups = {i + 1: g for i, g in enumerate(fresh.values())}
     p_hat = {gid: len(g) / T for gid, g in groups.items()}
     part = split_bands(p_hat, q=len(groups))
-    W = part.heavy_clusters()
-    if not W:
+    # The heavy groups, renumbered 1..|W| in W's sorted order, as their
+    # distinct members in sampling order.
+    heavy = [list(dict.fromkeys(groups[j])) for j in part.heavy_clusters()]
+    if not heavy:
         return False
-    # Phase 3: reference point = minimum-weight member of each Z_j.
-    refs = {j: _sampling.reference_point(groups[j], run.sampler) for j in W}
+    # Phase 3: reference point = minimum-weight member of each group.
+    refs = {i: _sampling.reference_point(g, run.sampler) for i, g in enumerate(heavy, 1)}
     # Phase 4: rejection sampling classified by majority vote over capped
     # representative subsets.
     cap = max(1, math.ceil(_C * k_guess / eps))
-    w_reps = Representatives(noisy=True)
-    for j in W:
-        w_reps.reps[j] = _capped_reps(groups[j], cap)
+    w_reps = Representatives()
+    for g in heavy:
+        w_reps.add_cluster(*g[:cap])
 
     quota = max(1, math.ceil(improved_t3(eps, k_guess)))
-    acc, unmet = run.rej_samp(W, refs, quota,
+    acc, unmet = run.rej_samp(list(refs), refs, quota,
                               checker=lambda x: check_cluster(session, x, w_reps) or 0)
     retain = max(1, math.ceil(_C4 * k_guess / eps))
-    for j in W:
-        if j in unmet:
+    for i, g in enumerate(heavy, 1):
+        if i in unmet:
             continue
-        cid = run.reps.discovered_count + 1
-        run.reps.reps[cid] = _capped_reps(groups[j], retain)
-        run.commit_recovery(cid, run.X.points[np.asarray(acc[j])].mean(axis=0))
+        cid = run.reps.add_cluster(*g[:retain])
+        run.commit_recovery(cid, run.X.points[np.asarray(acc[i])].mean(axis=0))
         log["recovered"].append(cid)
     if unmet:
         # The unmet groups are numbered after the clusters recovered, so

@@ -166,17 +166,18 @@ class OracleSession:
 
 
 class Representatives:
-    """Discovered clusters and their representative points.
+    """Discovered clusters and the member points that represent them.
 
-    Exact mode keeps one representative z_i per discovered cluster i; noisy
-    mode keeps a member list Z_i (multiset sizes preserved, queries use
-    distinct members).  Cluster indices are 1..L in discovery order.
+    Cluster i (1..L, in registration order) maps to its member list Z_i:
+    the single representative [z_i] of an exact-oracle discovery, or the
+    retained members of a noisy-oracle cluster, multiset sizes preserved.
+    Classify queries z_i = Z_i[0]; check_cluster votes over Z_i's
+    distinct members.
     """
 
-    def __init__(self, noisy: bool = False):
-        self.noisy = noisy
-        self.reps: dict[int, int | list[int]] = {}
-        # Exact-mode fast lookups, truth label or point -> discovered index
+    def __init__(self):
+        self.reps: dict[int, list[int]] = {}
+        # Exact-oracle lookups, truth label or point -> discovered index
         # (0 = unseen), dropped at each discovery and built again on demand.
         self._rank_of_label: np.ndarray | None = None
         self._rank_of_point: np.ndarray | None = None
@@ -186,39 +187,37 @@ class Representatives:
         return len(self.reps)
 
     def rep_point(self, i: int) -> int:
-        z = self.reps[i]
-        return z[0] if self.noisy else z
+        return self.reps[i][0]
 
     def members(self, i: int) -> list[int]:
-        if not self.noisy:
-            return [self.reps[i]]
         return self.reps[i]
 
-    def add_cluster(self, point_index: int) -> int:
+    def add_cluster(self, first: int, *rest: int) -> int:
+        """Register the next cluster, L+1, with members (first, *rest)."""
         idx = len(self.reps) + 1
-        self.reps[idx] = [int(point_index)] if self.noisy else int(point_index)
+        self.reps[idx] = [int(first), *map(int, rest)]
         self._rank_of_label = self._rank_of_point = None
         return idx
 
     def rank_of_label(self, session: OracleSession) -> np.ndarray:
-        """Exact mode: map truth label -> discovered index, rebuilt on growth."""
-        if self.noisy or not session.exact:
+        """Exact oracle: map truth label -> discovered index, rebuilt on growth."""
+        if not session.exact:
             raise OracleError("label ranks only exist for the exact oracle")
         if self._rank_of_label is None:
             arr = np.zeros(int(session.truth.max()) + 1, dtype=np.int64)
             for i in sorted(self.reps):
-                arr[session.truth[self.reps[i]]] = i
+                arr[session.truth[self.reps[i][0]]] = i
             self._rank_of_label = arr
         return self._rank_of_label
 
     def rank_of_point(self, session: OracleSession) -> np.ndarray:
-        """Exact mode: map point -> discovered index, rank_of_label[truth]."""
+        """Exact oracle: map point -> discovered index, rank_of_label[truth]."""
         if self._rank_of_point is None:
             self._rank_of_point = self.rank_of_label(session)[session.truth]
         return self._rank_of_point
 
     def ranks(self, session: OracleSession, xs: np.ndarray) -> np.ndarray:
-        """Exact mode: the discovered index of each point of xs, 0 if unseen.
+        """Exact oracle: the discovered index of each point of xs, 0 if unseen.
 
         One gather from rank_of_point. After a discovery that table is
         built again only for a batch of at least n points, since building

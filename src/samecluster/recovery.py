@@ -204,7 +204,6 @@ class RunState:
         # The cluster each point was drawn for since the reset, 0 if none:
         # one, since a committed id is its label's discovery rank.
         self.owner = np.zeros(len(X), dtype=np.int64)
-        self.accepted: dict[int, list[int]] = {}        # _ExpEngine uniform pools per cluster
         self.draws = 0
         self.round = 0
         self.logs: list[dict] = []
@@ -228,11 +227,10 @@ class RunState:
                 if cid not in self.centers and self.counts[cid - 1] > 0]
 
     def reset_round_state(self):
-        """Theory semantics without sample reuse: Q, S and pools start empty."""
+        """Theory semantics without sample reuse: the sample counts and
+        owners start empty, so Q does."""
         self.counts[:] = 0
         self.owner[:] = 0
-        self.accepted = {cid: pool for cid, pool in self.accepted.items()
-                         if cid in self.centers}
 
     # -- sample ingestion ---------------------------------------------------
 
@@ -734,6 +732,7 @@ class _ExpEngine:
     def __init__(self, run: RunState):
         self.run = run
         self.refs: dict[int, int] = {}
+        self.accepted: dict[int, list[int]] = {}        # uniform pool per cluster
         # Running sample sum per discovered cluster, row cid - 1; the rows
         # past L are zero, and a discovery past the last row doubles them.
         self.sums = np.zeros((8, run.X.dim))
@@ -795,7 +794,7 @@ class _ExpEngine:
         self.sums[cid - 1] += run.X.points[x]
         self.refs[cid] = x
         run.rng.random()
-        run.accepted.setdefault(cid, []).append(x)
+        self.accepted.setdefault(cid, []).append(x)
         return cl[:1], (self.ready(pick) if pick is not None else [])
 
     def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
@@ -839,10 +838,7 @@ class _ExpEngine:
         ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
                           for c in seg.ids.tolist()])
         wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
-        wxc, wrc = wx[coin_pos], wref[coin_pos]
-        p = np.ones(len(coin_pos))
-        pos_w = wxc > 0.0
-        p[pos_w] = np.minimum(1.0, wrc[pos_w] / wxc[pos_w])
+        p = _sampling._accept_prob(1.0, wref[coin_pos], wx[coin_pos])
         rng = run.rng
         saved = rng.bit_generator.state
         hit = np.zeros(m, dtype=bool)
@@ -896,12 +892,11 @@ class _ExpEngine:
             order = np.argsort(gc, kind="stable")
             ids, start = np.unique(gc[order], return_index=True)
             for k, chunk in zip(ids.tolist(), np.split(xs[got[order]], start[1:])):
-                run.accepted.setdefault(k, []).extend(chunk.tolist())
+                self.accepted.setdefault(k, []).extend(chunk.tolist())
 
     def pools(self) -> np.ndarray:
         """Uniform pool size per discovered cluster."""
-        acc = self.run.accepted
-        return np.array([len(acc.get(c, ())) for c in range(1, self.run.L + 1)],
+        return np.array([len(self.accepted.get(c, ())) for c in range(1, self.run.L + 1)],
                         dtype=np.int64)
 
     def ready(self, pick) -> list[int]:
@@ -966,6 +961,8 @@ def _experiment_rounds(run: RunState, pick):
         if not run.config.reuse_samples:
             engine.refs.clear()
             engine.sums[:] = 0.0
+            engine.accepted = {cid: pool for cid, pool in engine.accepted.items()
+                               if cid in run.centers}
         if not _phase1_probe_engine(run, engine):
             return
         ready = engine.ready(pick)
@@ -974,7 +971,7 @@ def _experiment_rounds(run: RunState, pick):
             _, ready = engine.take(run.room(size), pick)
             size = min(2 * size, 2048)
         for j in ready:
-            pool = run.accepted[j][:h + 1]
+            pool = engine.accepted[j][:h + 1]
             run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
             log["recovered"].append(j)
         run.end_round(log)

@@ -227,7 +227,7 @@ def test_c09_noisy_stack():
     truth = np.concatenate([np.repeat(np.arange(1, K + 1), reps_per),
                             rng.integers(1, K + 1, size=10_000)])
     session = OracleSession(truth, error_prob=0.1, rng_seed=92)
-    reps = Representatives(noisy=True)
+    reps = Representatives()
     for i in range(K):
         reps.reps[i + 1] = list(range(i * reps_per, (i + 1) * reps_per))
     base = K * reps_per

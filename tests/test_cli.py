@@ -191,6 +191,32 @@ class TestReduceCheck:
             assert err["type"] == "ValueError" and "labels not in" in err["message"]
 
 
+    def test_eps_and_recovered_are_checked(self, tmp_path, capsys):
+        # A non-positive or non-finite eps, or no recovered label, is an
+        # error (exit 1), not a check that fails with a ratio of Infinity.
+        data = tmp_path / "relabelled.csv"
+        data.write_text("0,0,7\n0,1,7\n100,0,3\n100,1,3\n2,0,5\n2,1,5\n")
+        capsys.readouterr()
+        for args in (["7", "-1"], ["7", "0"], ["7", "nan"], ["7", "inf"], [",", "0.5"]):
+            assert run_cli(["reduce-check", "--dataset", str(data),
+                            "--recovered", args[0], "--eps", args[1]]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_infinite_ratio_is_null(self, tmp_path, capsys):
+        # The recovered cluster is one point, cost 0, so covering the other
+        # costs infinitely more: exit 2, with strict JSON.
+        data = tmp_path / "single.csv"
+        data.write_text("0,0,7\n100,0,3\n100,1,3\n")
+        capsys.readouterr()
+        assert run_cli(["reduce-check", "--dataset", str(data), "--recovered", "7"]) == 2
+
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+        doc = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert doc == {"reducible": False, "worst_ratio": None, "offender": "3"}
+
+
 class TestErrorContract:
     def test_machine_readable_error(self, tmp_path, capsys):
         code = run_cli(["budget", "--budgets", "10", "--synth", "bogus=1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,7 @@ def classify_study_reference(X, result, seed=0):
     centers = {}
     for cid in result.I:
         centers[reps.add_cluster(result.reps[cid])] = np.asarray(result.centers[cid])
-    known_labels = {int(X.labels[z]) for z in reps.reps.values()}
+    known_labels = {int(X.labels[reps.rep_point(i)]) for i in centers}
     hist, correct = {}, 0
     for x in range(len(X)):
         ids = np.arange(1, reps.discovered_count + 1)
@@ -256,6 +258,17 @@ class TestCheckReducibility:
         ps = PointSet(np.arange(8.0).reshape(4, 2), labels=np.array([1, 1, 2, 2]))
         with pytest.raises(ValueError, match="outside 1..2"):
             check_reducibility(ps, [1, label], 0.5)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        ps = PointSet(np.arange(8.0).reshape(4, 2), labels=np.array([1, 1, 2, 2]))
+        with pytest.raises(ValueError, match="eps"):
+            check_reducibility(ps, [1], eps)
+
+    def test_empty_recovered_is_rejected(self):
+        ps = PointSet(np.arange(8.0).reshape(4, 2), labels=np.array([1, 1, 2, 2]))
+        with pytest.raises(ValueError, match="at least one"):
+            check_reducibility(ps, [], 0.5)
 
 
 class TestRoundTrips:

@@ -120,7 +120,9 @@ class TestRunNoisy:
 
     def test_retention_cap(self, monkeypatch):
         # Each recovered cluster keeps the first ceil(C4 K_guess / eps)
-        # distinct members of its group, captured when it is committed.
+        # distinct members of its group, captured when it is committed, and
+        # reports the first of them as its representative. Ids run 1..K in
+        # commit order.
         ps = three_blobs()
         cfg = NoisyConfig(p=0.1)
         sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=7)
@@ -134,15 +136,18 @@ class TestRunNoisy:
             return ids, Z
 
         def spy_commit(run, cid, center):
-            commits.append((run.logs[-1]["K_guess"], list(run.reps.reps[cid]), list(groups)))
+            commits.append((cid, run.logs[-1]["K_guess"], list(run.reps.members(cid)),
+                            list(groups)))
             return commit(run, cid, center)
 
         monkeypatch.setattr(noisy, "find_clusters", spy_find_clusters)
         monkeypatch.setattr(RunState, "commit_recovery", spy_commit)
         res = run_noisy(ps, sess, cfg, eps=0.5, seed=8)
         assert res.K_recovered == len(commits) == 3
+        assert [c[0] for c in commits] == res.I == [1, 2, 3]
         bound = 0
-        for k_guess, retained, round_groups in commits:
+        for cid, k_guess, retained, round_groups in commits:
+            assert res.reps[cid] == retained[0]
             cap = math.ceil(noisy._C4 * k_guess / 0.5)
             distinct = [list(dict.fromkeys(g)) for g in round_groups]
             group = next(d for d in distinct if d[0] == retained[0])
@@ -275,7 +280,7 @@ def _run_passes(monkeypatch, fixture, p, reference, budget=None, cap=10 ** 6, tr
             for k, spec in enumerate(passes):
                 if spec["center"] is not None:
                     add_center(state, spec["center"])
-                w_reps = Representatives(noisy=True)
+                w_reps = Representatives()
                 w_reps.reps = {j: list(v) for j, v in spec["members"].items()}
                 checker = plain_checker(session, w_reps)
                 if trace is not None:

@@ -385,7 +385,7 @@ class TestCheckCluster:
     def test_majority_three_of_five(self):
         members = [1, 2, 3, 4, 5]
         s = self._noisy_session_with([True, True, False, True, False], 0, members)
-        reps = Representatives(noisy=True)
+        reps = Representatives()
         reps.reps[1] = members
         assert check_cluster(s, 0, reps) == 1
         assert s.ledger == 5
@@ -393,12 +393,25 @@ class TestCheckCluster:
     def test_tie_rejects(self):
         members = [1, 2, 3, 4]
         s = self._noisy_session_with([True, True, False, False], 0, members)
-        reps = Representatives(noisy=True)
+        reps = Representatives()
         reps.reps[1] = members
         assert check_cluster(s, 0, reps) is None
 
+    def test_store_built_through_add_cluster(self):
+        # The store keeps repeated members, and rep_point is the first;
+        # the vote asks each distinct member once.
+        s = self._noisy_session_with([False, False, True], 0, [3, 1, 2])
+        s.answer_cache[(0, 5)] = True
+        reps = Representatives()
+        assert reps.add_cluster(3, 1, 3, 2, 1, 3) == 1
+        assert reps.add_cluster(5, 5) == 2
+        assert reps.members(1) == [3, 1, 3, 2, 1, 3]
+        assert (reps.rep_point(1), reps.rep_point(2)) == (3, 5)
+        assert check_cluster(s, 0, reps) == 2
+        assert s.ledger == 3 + 1
+
     def test_no_majority_anywhere(self):
-        reps = Representatives(noisy=True)
+        reps = Representatives()
         reps.reps[1] = [1, 2]
         reps.reps[2] = [3, 4]
         s = self._noisy_session_with([False, False], 0, [1, 2])

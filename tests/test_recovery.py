@@ -758,6 +758,7 @@ class StepEngine:
     def __init__(self, run: RunState, trace: list | None = None):
         self.run = run
         self.refs: dict[int, int] = {}
+        self.accepted: dict[int, list[int]] = {}
         self.sums = np.zeros((0, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
@@ -815,7 +816,7 @@ class StepEngine:
             wx = float(w[x])
             p = 1.0 if wx <= 0.0 else min(1.0, float(w[ref]) / wx)
             if run.rng.random() < p:
-                run.accepted.setdefault(cid, []).append(x)
+                self.accepted.setdefault(cid, []).append(x)
         return cid
 
 
@@ -833,20 +834,20 @@ def probe_reference(run: RunState, engine: StepEngine) -> bool:
     return seen_new
 
 
-def _heavy_reference(run: RunState, Q: list[int]) -> list[int]:
-    h = run.config.heavy_threshold
-    return [cid for cid in Q if len(run.accepted.get(cid, ())) > h]
+def _heavy_reference(engine: StepEngine, Q: list[int]) -> list[int]:
+    h = engine.run.config.heavy_threshold
+    return [cid for cid in Q if len(engine.accepted.get(cid, ())) > h]
 
 
-def pick_first_reference(run: RunState) -> list[int]:
-    return _heavy_reference(run, run.Q())[:1]
+def pick_first_reference(engine: StepEngine) -> list[int]:
+    return _heavy_reference(engine, engine.run.Q())[:1]
 
 
-def pick_heavy_mass_reference(run: RunState) -> list[int]:
-    Q = run.Q()
-    heavy = _heavy_reference(run, Q)
+def pick_heavy_mass_reference(engine: StepEngine) -> list[int]:
+    Q = engine.run.Q()
+    heavy = _heavy_reference(engine, Q)
     if heavy:
-        cnt = run.counts
+        cnt = engine.run.counts
         if 2 * int(sum(cnt[c - 1] for c in heavy)) > int(sum(cnt[c - 1] for c in Q)):
             return heavy
     return []
@@ -867,15 +868,17 @@ def exp_engine_reference(run: RunState, pick, box: dict | None = None):
         if not run.config.reuse_samples:
             engine.refs.clear()
             engine.sums[:] = 0.0
+            engine.accepted = {cid: pool for cid, pool in engine.accepted.items()
+                               if cid in run.centers}
         engine.phase = "probe"
         if not probe_reference(run, engine):
             return
         engine.phase = "pick"
-        while not (ready := pick_ref(run)):
+        while not (ready := pick_ref(engine)):
             run.room(1)
             engine.step()
         for j in ready:
-            pool = run.accepted[j][:h + 1]
+            pool = engine.accepted[j][:h + 1]
             run.commit_recovery(j, run.X.points[np.asarray(pool)].mean(axis=0))
             log["recovered"].append(j)
         run.end_round(log)
@@ -927,7 +930,7 @@ def _exp_run(rounds, ps, runner, cfg, budget=None, box=None):
     run, engine = box["run"], box["engine"]
     L = run.L
     return (res.to_payload(), session.ledger, run.rng.bit_generator.state,
-            engine.refs, run.accepted, run.counts[:L].tolist(), engine.sums[:L].tobytes(),
+            engine.refs, engine.accepted, run.counts[:L].tolist(), engine.sums[:L].tobytes(),
             run.owner.tolist())
 
 
