@@ -239,12 +239,16 @@ class RunState:
         idx[i] of cluster cl[i], drawn mult[i] times (once without mult)."""
         if len(idx) == 0:
             return
-        while cl.max() > len(self.counts):
-            self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
+        self.reserve(int(cl.max()))
         self.counts += np.bincount(cl - 1, weights=mult,
                                   minlength=len(self.counts)).astype(np.int64)
         self.owner[idx] = cl
         self.draws += len(idx) if mult is None else int(mult.sum())
+
+    def reserve(self, ids: int):
+        """Grow counts, by doubling, to hold cluster ids up to `ids`."""
+        while ids > len(self.counts):
+            self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
 
     def commit_peeked(self, idx: np.ndarray, cl: np.ndarray, costs: np.ndarray,
                       new_firsts, upto: int):
@@ -721,12 +725,15 @@ class _ExpEngine:
 
     Draws come from a 2048-draw buffer refilled when it runs out, and
     `take` processes a block of them at once. A block ends at the buffer's
-    end, at the caller's limit, before the first draw of an undiscovered
-    label (which is taken on its own) and, given a pick rule, after the
-    first draw at which the rule fires. Within a block every draw's query
-    cost, reference point, acceptance coin and pool are those of the
-    draw-at-a-time loop that `exp_engine_reference` in
-    tests/test_recovery.py keeps, which this must match.
+    end, at the caller's limit or, given a pick rule, right after the
+    first draw at which the rule fires. It runs through the first draws
+    of undiscovered labels: such a draw discovers its cluster, at one
+    query per cluster discovered before it, and its acceptance coin is
+    drawn and always accepts, since the draw is its cluster's reference.
+    Within a block every draw's query cost, reference point, acceptance
+    coin and pool are those of the draw-at-a-time loop that
+    `exp_engine_reference` in tests/test_recovery.py keeps, which this
+    must match.
     """
 
     def __init__(self, run: RunState):
@@ -734,7 +741,8 @@ class _ExpEngine:
         self.refs: dict[int, int] = {}
         self.accepted: dict[int, list[int]] = {}        # uniform pool per cluster
         # Running sample sum per discovered cluster, row cid - 1; the rows
-        # past L are zero, and a discovery past the last row doubles them.
+        # past L are zero, and a block that discovers past the last row
+        # doubles them.
         self.sums = np.zeros((8, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
@@ -748,113 +756,53 @@ class _ExpEngine:
             centers[cid - 1] = c
         return centers
 
-    def live(self) -> np.ndarray:
-        """Per discovered cluster: not recovered."""
-        live = np.ones(self.run.L, dtype=bool)
+    def live(self, L: int | None = None) -> np.ndarray:
+        """Per cluster id 1..L (default: the discovered ones): not recovered."""
+        live = np.ones(self.run.L if L is None else L, dtype=bool)
         live[[c - 1 for c in self.run.centers]] = False
         return live
 
     def take(self, limit: int, pick=None) -> tuple[np.ndarray, list[int]]:
         """Take and commit up to `limit` (>= 1) draws as one block.
 
-        Returns the cluster ids of the committed draws and, when pick
-        fired after the last of them, the clusters it names. On
-        BudgetExhausted the draws that fit are committed, then the
-        exception propagates; FullyCovered comes from a buffer refill,
-        before any draw.
+        The block is the rest of the buffer, up to `limit` draws. Its
+        draws are peeked once and their acceptance coins drawn; given a
+        pick rule, the block is cut right after the first draw at which
+        the rule fires, and only the draws kept are costed. A first draw
+        of an undiscovered label gets the next id and keeps the peek's
+        cost, one query per cluster discovered before it; until that draw
+        its cluster has no center to be ranked against. Returns the
+        cluster ids of the committed draws and, when pick fired after the
+        last of them, the clusters it names. On BudgetExhausted the draws
+        that fit are committed, and only their discoveries registered,
+        then the exception propagates; FullyCovered comes from a buffer
+        refill, before any draw.
         """
         run = self.run
         if self._pos >= len(self._buf):
             self._buf = _sampling.d2_sample_batch(run.sampler, run.rng, 2048)
             self._pos = 0
         xs = self._buf[self._pos:self._pos + limit]
-        cl, costs, new_firsts = _oracle.peek_classify(run.session, xs, run.reps)
-        cut = new_firsts[0][0] if new_firsts else len(xs)
-        if cut == 0:
-            return self._discover(xs, cl, costs, new_firsts, pick)
-        xs, cl = xs[:cut], cl[:cut]
-        seg = _Segments(cl)
-        return self._commit(xs, cl, seg, self._costs(xs, cl, seg), pick)
-
-    def _discover(self, xs, cl, costs, new_firsts, pick) -> tuple[np.ndarray, list[int]]:
-        """A draw of an undiscovered label, the first of a peeked block, alone.
-
-        It costs one query per discovered cluster and opens a new cluster
-        with x as its representative and reference point, so its
-        acceptance probability is 1: its coin is drawn and always accepts.
-        The new cluster's sum row starts at zero and adds x, as every
-        later draw adds to it.
-        """
-        run = self.run
-        x, cid = int(xs[0]), int(cl[0])
-        run.commit_peeked(xs, cl, costs, new_firsts, 1)
-        self._pos += 1
-        if cid > len(self.sums):
+        cl, peeked, new_firsts = _oracle.peek_classify(run.session, xs, run.reps)
+        L = max(run.L, int(cl.max()))           # ids 1..L, discoveries included
+        run.reserve(L)
+        while L > len(self.sums):
             self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
-        self.sums[cid - 1] += run.X.points[x]
-        self.refs[cid] = x
-        run.rng.random()
-        self.accepted.setdefault(cid, []).append(x)
-        return cl[:1], (self.ready(pick) if pick is not None else [])
-
-    def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
-        """Queries of each draw: the rank of its cluster among the running
-        centers before it, by squared distance, ties by id.
-
-        A cluster's running sum is np.cumsum along its segment row, which
-        adds in the order of sequential +=, and its running center that sum
-        over max(count, 1); recovered clusters keep their recovered center.
-        """
-        run = self.run
-        m, L = len(xs), run.L
-        P = run.X.points[xs]
-        ids = seg.ids
-        Z = seg.rows(P, self.sums[ids - 1], 0.0)
-        counts = run.counts[ids - 1][:, None] + np.arange(seg.width)
-        means = np.cumsum(Z, axis=1) / np.maximum(counts, 1)[:, :, None]
-        # Row c of the table is cluster c + 1's center before the block;
-        # row L + (g, k) is segment g's center after k of its draws.
-        table = np.concatenate([self._centers_matrix(), means.reshape(-1, P.shape[1])])
-        index = np.tile(np.arange(L), (m, 1))
-        moving = np.array([c not in run.centers for c in ids.tolist()], dtype=bool)
-        drawn = cl[:, None] == ids[moving]
-        index[:, ids[moving] - 1] = (L + np.flatnonzero(moving) * seg.width
-                                     + np.cumsum(drawn, axis=0) - drawn)
-        C = table[index]
-        C -= P[:, None, :]
-        return _oracle.distance_ranks(np.einsum("mld,mld->ml", C, C), cl)
-
-    def _commit(self, xs, cl, seg, costs, pick) -> tuple[np.ndarray, list[int]]:
-        """Acceptance, the pick cut, charging and ingestion of one block."""
-        run = self.run
-        m, L = len(xs), run.L
-        live = self.live()
-        coin_pos = np.flatnonzero(live[cl - 1])
-        w = run.sampler.weights
-        wx = w[xs]
-        # A draw's reference weight is the minimum, by the current weights,
-        # of its cluster's reference point and the cluster's draws in the
-        # block up to and including this one.
-        ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
-                          for c in seg.ids.tolist()])
-        wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
-        p = _sampling._accept_prob(1.0, wref[coin_pos], wx[coin_pos])
+        live = self.live(L)
+        seg = _Segments(cl)
         rng = run.rng
         saved = rng.bit_generator.state
-        hit = np.zeros(m, dtype=bool)
-        hit[coin_pos] = rng.random(len(coin_pos)) < p
-        upto, ready = m, []
+        hit, coin_pos = self._coins(xs, cl, seg, live)
+        upto, ready = len(xs), []
         if pick is not None:
-            onehot = cl[:, None] == np.arange(1, L + 1)
-            counts = run.counts[:L] + np.cumsum(onehot, axis=0)
-            pools = self.pools() + np.cumsum(onehot & hit[:, None], axis=0)
-            fire = pick(counts, pools, live, run.config.heavy_threshold)
-            rows = np.flatnonzero(fire.any(axis=1))
-            if len(rows):
-                upto = int(rows[0]) + 1
-                ready = (np.flatnonzero(fire[rows[0]]) + 1).tolist()
+            upto, ready = self._pick_cut(cl, hit, live, pick, L)
+            if upto < len(xs):
+                xs, cl, seg = xs[:upto], cl[:upto], _Segments(cl[:upto])
+        costs = self._costs(xs, cl, seg)
+        first = [p for p, _ in new_firsts if p < upto]
+        costs[first] = peeked[first]
         try:
-            run.session.charge_items(costs[:upto])
+            _oracle.commit_classify(run.session, run.reps, costs, new_firsts, upto)
         except BudgetExhausted as e:
             upto = e.done
             raise
@@ -867,6 +815,71 @@ class _ExpEngine:
                 rng.random(used)
             self._ingest(xs[:upto], cl[:upto], hit[:upto], live)
         return cl[:upto], ready
+
+    def _coins(self, xs, cl, seg, live):
+        """Acceptance coins of a block: hit[t] for every draw, drawn in
+        order for the draws of live clusters (coin_pos). The first draw of
+        a cluster without a reference, a discovery among them, is its own
+        reference, so its coin always accepts."""
+        run = self.run
+        coin_pos = np.flatnonzero(live[cl - 1])
+        w = run.sampler.weights
+        wx = w[xs]
+        # A draw's reference weight is the minimum, by the current weights,
+        # of its cluster's reference point and the cluster's draws in the
+        # block up to and including this one.
+        ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
+                          for c in seg.ids.tolist()])
+        wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
+        p = _sampling._accept_prob(1.0, wref[coin_pos], wx[coin_pos])
+        hit = np.zeros(len(xs), dtype=bool)
+        hit[coin_pos] = run.rng.random(len(coin_pos)) < p
+        return hit, coin_pos
+
+    def _pick_cut(self, cl, hit, live, pick, L):
+        """The draws up to the first at which pick fires, and what it names."""
+        run = self.run
+        onehot = cl[:, None] == np.arange(1, L + 1)
+        counts = run.counts[:L] + np.cumsum(onehot, axis=0)
+        pools = self.pools(L) + np.cumsum(onehot & hit[:, None], axis=0)
+        fire = pick(counts, pools, live, run.config.heavy_threshold)
+        rows = np.flatnonzero(fire.any(axis=1))
+        if not len(rows):
+            return len(cl), []
+        return int(rows[0]) + 1, (np.flatnonzero(fire[rows[0]]) + 1).tolist()
+
+    def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
+        """Queries of each draw: the rank of its cluster among the running
+        centers before it, by squared distance, ties by id.
+
+        A cluster's running sum is np.cumsum along its segment row, which
+        adds in the order of sequential +=, and its running center that sum
+        over max(count, 1); recovered clusters keep their recovered center.
+        A cluster the draws discover has no center before its first draw
+        (+inf distance, which distance_ranks treats as not existing); the
+        rank computed for that first draw is meaningless, and the caller
+        replaces it.
+        """
+        run = self.run
+        m, L0 = len(xs), run.L
+        L = max(L0, int(cl.max()))
+        P = run.X.points[xs]
+        ids = seg.ids
+        Z = seg.rows(P, self.sums[ids - 1], 0.0)
+        counts = run.counts[ids - 1][:, None] + np.arange(seg.width)
+        means = np.cumsum(Z, axis=1) / np.maximum(counts, 1)[:, :, None]
+        means[ids > L0, 0] = np.inf
+        # Row c of the table is cluster c + 1's center before the block;
+        # row L0 + (g, k) is segment g's center after k of its draws.
+        table = np.concatenate([self._centers_matrix(), means.reshape(-1, P.shape[1])])
+        index = np.tile(np.arange(L), (m, 1))
+        moving = np.array([c not in run.centers for c in ids.tolist()], dtype=bool)
+        drawn = cl[:, None] == ids[moving]
+        index[:, ids[moving] - 1] = (L0 + np.flatnonzero(moving) * seg.width
+                                     + np.cumsum(drawn, axis=0) - drawn)
+        C = table[index]
+        C -= P[:, None, :]
+        return _oracle.distance_ranks(np.einsum("mld,mld->ml", C, C), cl)
 
     def _ingest(self, xs, cl, hit, live):
         """Commit draws: counts, owners and sums, then refs and pools."""
@@ -886,17 +899,13 @@ class _ExpEngine:
         _, first = np.unique(c[order], return_index=True)
         for k, v in zip(c[order[first]].tolist(), x[order[first]].tolist()):
             self.refs[k] = v
-        got = np.flatnonzero(hit)
-        if len(got):
-            gc = cl[got]
-            order = np.argsort(gc, kind="stable")
-            ids, start = np.unique(gc[order], return_index=True)
-            for k, chunk in zip(ids.tolist(), np.split(xs[got[order]], start[1:])):
-                self.accepted.setdefault(k, []).extend(chunk.tolist())
+        for k, v in zip(cl[hit].tolist(), xs[hit].tolist()):
+            self.accepted.setdefault(k, []).append(v)
 
-    def pools(self) -> np.ndarray:
-        """Uniform pool size per discovered cluster."""
-        return np.array([len(self.accepted.get(c, ())) for c in range(1, self.run.L + 1)],
+    def pools(self, L: int | None = None) -> np.ndarray:
+        """Uniform pool size per cluster id 1..L (default: the discovered ones)."""
+        L = self.run.L if L is None else L
+        return np.array([len(self.accepted.get(c, ())) for c in range(1, L + 1)],
                         dtype=np.int64)
 
     def ready(self, pick) -> list[int]:

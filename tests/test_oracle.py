@@ -297,6 +297,25 @@ class TestHeuristicClassify:
         assert self.ranks([2.5, 0.0], 2) == 2
         assert self.ranks([2.5, 0.0], 1) == 1
 
+    def test_absent_centers_and_ties_match_stable_argsort(self):
+        # Distances from a few small integers, so they tie, and +inf for
+        # about a third of the centers, which do not exist yet: the query
+        # order is a stable argsort over the existing centers only.
+        rng = np.random.default_rng(3)
+        D = rng.integers(0, 4, size=(500, 9)).astype(float)
+        D[rng.random(D.shape) < 0.35] = np.inf
+        D = D[np.isfinite(D).any(axis=1)]
+        own = np.array([rng.choice(np.flatnonzero(np.isfinite(row))) + 1 for row in D])
+        want = []
+        for row, c in zip(D, own):
+            exists = np.flatnonzero(np.isfinite(row))
+            order = exists[np.argsort(row[exists], kind="stable")]
+            want.append(int(np.flatnonzero(order == c - 1)[0]) + 1)
+        got = distance_ranks(D, own)
+        np.testing.assert_array_equal(got, want)
+        ties = (D == D[np.arange(len(D)), own - 1][:, None]).sum(axis=1) > 1
+        assert ties.sum() > 100 and np.isinf(D).any(axis=1).sum() > 100
+
 
 class TestSameClusterMany:
     """same_cluster_many against same_cluster called pair by pair."""

@@ -751,8 +751,8 @@ class StepEngine:
     Same 2048-draw buffer and refill points as recovery._ExpEngine, and
     its own running sample sums, added to by sequential +=. When trace is
     a list it receives (ledger after the draw, phase, whether the draw
-    discovered a cluster) for every charged draw; phase is set by the
-    caller.
+    discovered a cluster, the run's draws before it) for every charged
+    draw; phase is set by the caller.
     """
 
     def __init__(self, run: RunState, trace: list | None = None):
@@ -802,7 +802,7 @@ class StepEngine:
             session.charge(int(np.nonzero(order == true_cid - 1)[0][0]) + 1)
             cid = true_cid
         if self.trace is not None and L:
-            self.trace.append((session.ledger, self.phase, true_cid == 0))
+            self.trace.append((session.ledger, self.phase, true_cid == 0, run.draws))
         run.ingest(np.array([x]), np.array([cid]))
         if cid > len(self.sums):
             self.sums = np.vstack([self.sums, np.zeros((1, run.X.dim))])
@@ -938,7 +938,14 @@ _experiment_rounds_block = recovery._experiment_rounds
 
 
 def _block_rounds(run, pick, box):
-    """recovery._experiment_rounds, recording its run, engine and blocks."""
+    """recovery._experiment_rounds, recording its run, engine and blocks.
+
+    box["takes"] gets one (start, end, why, discoveries) per take: the run's
+    draw count before and after it, why it ended ("pick", "limit",
+    "buffer", "budget" or "covered"; "cut" for a block that ended for none
+    of these) and, for a committed take, the block positions of the draws
+    that discovered a cluster.
+    """
     takes = box.setdefault("takes", [])
 
     class Recording(recovery._ExpEngine):
@@ -947,11 +954,19 @@ def _block_rounds(run, pick, box):
             box.update(run=r, engine=self)
 
         def take(self, limit, pick=None):
-            start = self.run.draws
+            start, L = self.run.draws, self.run.L
             try:
-                return super().take(limit, pick)
-            finally:
-                takes.append((start, self.run.draws))
+                cl, ready = super().take(limit, pick)
+            except (BudgetExhausted, sampling.FullyCovered) as e:
+                why = "budget" if isinstance(e, BudgetExhausted) else "covered"
+                takes.append((start, self.run.draws, why, []))
+                raise
+            why = ("pick" if ready else "limit" if len(cl) == limit
+                   else "buffer" if self._pos == len(self._buf) else "cut")
+            new = np.flatnonzero(cl > L)
+            found = new[np.unique(cl[new], return_index=True)[1]].tolist()
+            takes.append((start, self.run.draws, why, found))
+            return cl, ready
 
     mp = pytest.MonkeyPatch()
     mp.setattr(recovery, "_ExpEngine", Recording)
@@ -961,11 +976,26 @@ def _block_rounds(run, pick, box):
         mp.undo()
 
 
+def _exp_blocks(ps, runner, cfg, budget=None):
+    """_exp_run of the block engine, checking that every take ended at the
+    buffer's end, the caller's limit, the pick rule, the budget or a full
+    cover, never just before a discovery. Returns _exp_run's tuple and
+    the takes."""
+    box = {}
+    got = _exp_run(_block_rounds, ps, runner, cfg, budget, box=box)
+    cut = [t for t in box["takes"] if t[2] == "cut"]
+    assert not cut, cut
+    return got, box["takes"]
+
+
 class TestExpEngineReference:
     def test_matches_draw_at_a_time(self):
         cases = {"probe": 0, "pick": 0, "discovery": 0, "exact fit": 0,
                  "cap 0": 0, "cap 1": 0, "cap mid-block": 0, "zero weight": 0,
-                 "refill": 0}
+                 "refill": 0, "discovery inside a block": 0,
+                 "two discoveries in one block": 0,
+                 "budget at an in-block discovery": 0,
+                 "cap at an in-block discovery": 0}
         for ps in _exp_fixtures():
             for runner in (run_basic_simplified, run_improved_simplified):
                 for reuse in (True, False):
@@ -973,36 +1003,51 @@ class TestExpEngineReference:
                                          heavy_threshold=3, draw_cap=6000)
                     ref_box = {"trace": []}
                     want = _exp_run(exp_engine_reference, ps, runner, cfg, box=ref_box)
-                    blk_box = {}
-                    assert _exp_run(_block_rounds, ps, runner, cfg, box=blk_box) == want
+                    got, takes = _exp_blocks(ps, runner, cfg)
+                    assert got == want
                     trace = ref_box["trace"]
                     cases["zero weight"] += ref_box["engine"].zero_weight_draws
                     cases["refill"] += want[0]["samples_total"] > 2048
+                    # Draws that discovered a cluster after the first draw
+                    # of their block, and blocks that go on past one.
+                    inside = [a + p for a, _, _, found in takes for p in found if p > 0]
+                    cases["discovery inside a block"] += sum(
+                        any(0 < p < b - a - 1 for p in found) for a, b, _, found in takes)
+                    cases["two discoveries in one block"] += sum(
+                        len(found) >= 2 for _, _, _, found in takes)
                     budgets = {"exact fit": want[1]}
                     for case in ("probe", "pick"):
                         # A non-discovery draw past the middle of the run.
-                        at = [i for i, (_, ph, new) in enumerate(trace)
+                        at = [i for i, (_, ph, new, _) in enumerate(trace)
                               if ph == case and not new and i >= len(trace) // 2]
                         if at:
                             budgets[case] = trace[at[0]][0] - 1
-                    disc = [i for i, (_, _, new) in enumerate(trace) if new]
+                    disc = [i for i, (_, _, new, _) in enumerate(trace) if new]
                     if disc:
                         budgets["discovery"] = trace[disc[-1]][0] - 1
+                    # One query short of an in-block discovery.
+                    at = [ledger for ledger, _, new, d in trace if new and d in inside]
+                    if at:
+                        budgets["budget at an in-block discovery"] = at[len(at) // 2] - 1
                     for case, budget in budgets.items():
                         want = _exp_run(exp_engine_reference, ps, runner, cfg, budget)
-                        assert _exp_run(_block_rounds, ps, runner, cfg, budget) == want, case
+                        assert _exp_blocks(ps, runner, cfg, budget)[0] == want, case
                         assert (want[0]["stop_reason"] == "budget") == (case != "exact fit")
                         cases[case] += 1
-                    # A cap strictly inside one of the block engine's blocks.
-                    mid = [(a + b) // 2 for a, b in blk_box["takes"] if b - a >= 8]
+                    # A cap strictly inside one of the block engine's
+                    # blocks, and one that ends a block with its in-block
+                    # discovery.
+                    mid = [(a + b) // 2 for a, b, _, _ in takes if b - a >= 8]
                     caps = {"cap 0": 0, "cap 1": 1}
                     if mid:
                         caps["cap mid-block"] = mid[len(mid) // 2]
+                    if inside:
+                        caps["cap at an in-block discovery"] = inside[len(inside) // 2] + 1
                     for case, cap in caps.items():
                         capped = copy.copy(cfg)
                         capped.draw_cap = cap
                         want = _exp_run(exp_engine_reference, ps, runner, capped)
-                        assert _exp_run(_block_rounds, ps, runner, capped) == want, case
+                        assert _exp_blocks(ps, runner, capped)[0] == want, case
                         assert want[0]["stop_reason"] == "draw_cap"
                         cases[case] += 1
         assert min(cases.values()) > 0, cases
