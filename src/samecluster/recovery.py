@@ -820,16 +820,19 @@ class _ExpEngine:
         """Acceptance coins of a block: hit[t] for every draw, drawn in
         order for the draws of live clusters (coin_pos). The first draw of
         a cluster without a reference, a discovery among them, is its own
-        reference, so its coin always accepts."""
+        reference, so its coin always accepts. The weights of the draws
+        and of the segments' reference points are one pointwise read
+        (SamplerState.weights_at), so the centers recovered since the last
+        buffer refill are applied to these rows only."""
         run = self.run
         coin_pos = np.flatnonzero(live[cl - 1])
-        w = run.sampler.weights
-        wx = w[xs]
+        refs = np.array([self.refs.get(c, -1) for c in seg.ids.tolist()], dtype=np.int64)
+        w = run.sampler.weights_at(np.concatenate([xs, refs]))
+        wx, ref_w = w[:len(xs)], w[len(xs):]
+        ref_w[refs < 0] = np.inf                # no reference point yet
         # A draw's reference weight is the minimum, by the current weights,
         # of its cluster's reference point and the cluster's draws in the
         # block up to and including this one.
-        ref_w = np.array([w[self.refs[c]] if c in self.refs else np.inf
-                          for c in seg.ids.tolist()])
         wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
         p = _sampling._accept_prob(1.0, wref[coin_pos], wx[coin_pos])
         hit = np.zeros(len(xs), dtype=bool)
@@ -894,8 +897,7 @@ class _ExpEngine:
         if old:
             c = np.append(c, [k for k, _ in old])
             x = np.append(x, [v for _, v in old])
-        w = run.sampler.weights
-        order = np.lexsort((x, w[x], c))
+        order = np.lexsort((x, run.sampler.weights_at(x), c))
         _, first = np.unique(c[order], return_index=True)
         for k, v in zip(c[order[first]].tolist(), x[order[first]].tolist()):
             self.refs[k] = v

@@ -6,10 +6,16 @@ a guide table (an indexed inverse-CDF search) that answers a draw in a few
 lookups, exactly as the binary search would; with no centers yet, draws
 are uniform (the standard first-draw convention).
 
-Adding a center lowers the weights it can lower. A float32 screen over a
-scaled (d, n) copy of the points, kept from the second center on, rules
-out most points with a proven error margin; the rest get the exact float64
-update, so the screen changes no weight (add_center).
+Adding a center lowers the weights it can lower, but not at once: add_center
+queues the center, and the queue is applied in order when something reads
+the whole weight vector (weights, total, cumsum(), and so d2_sample_batch,
+counts_chunk and rej_samp). A float32 screen over a scaled (d, n) copy of
+the points, kept from the second center on, rules out most points with a
+proven error margin; the rest get the exact float64 update, so the screen
+changes no weight (_apply_center). weights_at reads single points through
+the queue without applying it (reference_point and the experiment engine
+use it), so a center costs its pass over the points only if a full read
+comes after it.
 """
 
 from __future__ import annotations
@@ -35,22 +41,29 @@ class SamplerState:
     With an empty C every weight is 1.0 and the total n: the uniform law
     that counts_chunk reads before any center (d2_sample_batch and the
     rejection walk draw uniform integers then instead).
+
+    The centers add_center queues are pending until a full read: weights,
+    total and cumsum() first apply them in order (_flush), one screened
+    update each as the eager update made it, and then sum the total once,
+    so every weight and the total equal those of applying each center as
+    it came. weights_at(idx) reads points without applying the queue.
     """
 
     def __init__(self, points: np.ndarray):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)   # as add_center sums rows
+        self.points = np.ascontiguousarray(points, dtype=np.float64)   # as _apply_center sums rows
         n = len(self.points)
         if n == 0:
             raise GeometryError("sampler needs a non-empty point set")
         if not np.isfinite(self.points).all():
             raise GeometryError("sampler points contain non-finite coordinates")
-        self.weights = np.ones(n, dtype=np.float64)
-        self.total = float(n)
+        self._weights = np.ones(n, dtype=np.float64)
+        self._total = float(n)
+        self._pending: list[np.ndarray] = []    # centers added, not yet applied
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
         # (cumsum, guide table): the table of _d2_index for that prefix-sum array.
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
-        # add_center's screen. _scale is the power of two s that puts the
+        # _apply_center's screen. _scale is the power of two s that puts the
         # largest |x_i s| in [1/2, 1), or 0.0 where the screen is not used
         # (d above _SCREEN_MAX_DIM, or s outside [2^-500, 2^500]).
         top = max(self.points.max(initial=0.0), -self.points.min(initial=0.0))
@@ -70,20 +83,99 @@ class SamplerState:
     def has_centers(self) -> bool:
         return self.centers_version > 0
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Every weight (a full read: applies the pending centers first)."""
+        if self._pending:
+            self._flush()
+        return self._weights
+
+    @weights.setter
+    def weights(self, w) -> None:
+        """Set the weights of the current center set by hand: the pending
+        centers are dropped, the total summed and the prefix sums dropped."""
+        self._weights = np.asarray(w, dtype=np.float64)
+        self._pending.clear()
+        self._total = float(self._weights.sum())
+        self._cumsum = None
+
+    @property
+    def total(self) -> float:
+        """The sum of the weights (a full read)."""
+        if self._pending:
+            self._flush()
+        return self._total
+
     def cumsum(self) -> np.ndarray:
+        """Prefix sums of the weights (a full read)."""
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.weights)
         return self._cumsum
 
+    def weights_at(self, idx) -> np.ndarray:
+        """weights[idx] without applying the pending centers to other points.
+
+        The rows of idx are gathered and each pending center lowers them
+        with the formula _apply_center uses for a point it does not skip
+        (diff, einsum, np.minimum; a pending first center sets the weight),
+        which is the weight that center leaves. When the gather would be
+        larger than a full pass (len(idx) times the pending centers above
+        n), the centers are applied instead.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        pending = self._pending
+        if len(idx) * len(pending) > self.n_points:
+            self._flush()
+        if not self._pending:
+            return self._weights[idx]
+        rows = self.points.take(idx, axis=0)
+        w = None if self.centers_version == len(pending) else self._weights[idx]
+        for c in pending:
+            diff = rows - c
+            d2 = np.einsum("nd,nd->n", diff, diff)
+            w = d2 if w is None else np.minimum(w, d2)
+        return w
+
+    def _flush(self) -> None:
+        """Apply the pending centers in order, then sum the total once."""
+        first = self.centers_version == len(self._pending)
+        for c in self._pending:
+            _apply_center(self, c, first)
+            first = False
+        self._pending.clear()
+        self._total = float(self._weights.sum())
+
 
 def add_center(state: SamplerState, center) -> SamplerState:
-    """Lower each weight to min(weight, ||x - c||^2).
+    """Add a center: each weight becomes min(weight, ||x - c||^2).
+
+    The center is checked (dimension, finiteness) and copied at once, then
+    queued: centers_version counts it and the prefix sums are dropped. A
+    full read of the state (weights, total, cumsum(), and so
+    d2_sample_batch, counts_chunk and rej_samp) applies the queue first;
+    weights_at and reference_point read points through it.
+    """
+    c = np.array(center, dtype=np.float64).ravel()     # a copy: applied later
+    if c.shape[0] != state.points.shape[1]:
+        raise GeometryError(
+            f"center dimension {c.shape[0]} != point dimension {state.points.shape[1]}"
+        )
+    if not np.isfinite(c).all():
+        raise GeometryError("center contains non-finite coordinates")
+    state._pending.append(c)
+    state.centers_version += 1
+    state._cumsum = None
+    return state
+
+
+def _apply_center(state: SamplerState, c: np.ndarray, first: bool) -> None:
+    """Lower each weight to min(weight, ||x - c||^2) in place.
 
     The first center sets every weight to diff/einsum d^2. From the second
     on, the exact d^2 is computed only for the candidates, the points that
     a float32 screen cannot show to keep their weight. Candidates get the
-    full-pass formula (diff, einsum, np.minimum), so every weight and the
-    total are bit-identical to a full pass.
+    full-pass formula (diff, einsum, np.minimum), so every weight is
+    bit-identical to a full pass.
 
     The screen works in units scaled by s = state._scale: X = x s, C = c s,
     |X_i| < 1. One unit-stride float32 einsum over the copy state._xt gives
@@ -124,31 +216,20 @@ def add_center(state: SamplerState, center) -> SamplerState:
     The products are einsums, not BLAS calls: threaded BLAS would
     oversubscribe the cores when several worker processes sample at once.
     """
-    c = np.asarray(center, dtype=np.float64).ravel()
-    if c.shape[0] != state.points.shape[1]:
-        raise GeometryError(
-            f"center dimension {c.shape[0]} != point dimension {state.points.shape[1]}"
-        )
-    if not np.isfinite(c).all():
-        raise GeometryError("center contains non-finite coordinates")
     points = state.points
-    if state.has_centers:
+    if first:
+        diff = points - c
+        state._weights = np.einsum("nd,nd->n", diff, diff)
+    else:
         idx = _candidates(state, c)
         diff = points.take(idx, axis=0)     # points[idx], gathered faster
         diff -= c
         d2 = np.einsum("nd,nd->n", diff, diff)
-        state.weights[idx] = np.minimum(state.weights[idx], d2)
-    else:
-        diff = points - c
-        state.weights = np.einsum("nd,nd->n", diff, diff)
-    state.total = float(state.weights.sum())
-    state.centers_version += 1
-    state._cumsum = None
-    return state
+        state._weights[idx] = np.minimum(state._weights[idx], d2)
 
 
 def _candidates(state: SamplerState, c: np.ndarray):
-    """Indices of the points that add_center's screen keeps for the exact update."""
+    """Indices of the points that _apply_center's screen keeps for the exact update."""
     s = state._scale
     if s == 0.0 or not np.abs(c).max(initial=0.0) <= _SCREEN_MAX_C / s:
         return np.arange(state.n_points)
@@ -169,7 +250,7 @@ def _candidates(state: SamplerState, c: np.ndarray):
     dot = np.einsum("dn,d->n", state._xt, cs.astype(np.float32))
     eta = 2.0 ** -123 * (float(np.abs(cs).sum()) + 4 * d)
     with np.errstate(over="ignore"):        # -inf: the point is a candidate
-        thr = state.weights * (-0.5 * s * s)
+        thr = state._weights * (-0.5 * s * s)
     thr += state._half_sq
     thr += b * float(np.einsum("d,d->", cs, cs)) - eta / 2
     return np.flatnonzero(~(dot <= thr))
@@ -281,11 +362,13 @@ def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
 
 
 def reference_point(sample_indices, state: SamplerState) -> int:
-    """Minimum-weight sampled point; ties break toward the lowest point index."""
+    """Minimum-weight sampled point; ties break toward the lowest point index.
+
+    Reads the samples' weights only (SamplerState.weights_at)."""
     idxs = np.asarray(sample_indices, dtype=np.int64)
     if len(idxs) == 0:
         raise ValueError("reference_point needs at least one sample")
-    w = state.weights[idxs]
+    w = state.weights_at(idxs)
     return int(idxs[w == w.min()].min())
 
 

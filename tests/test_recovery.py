@@ -1086,6 +1086,35 @@ class TestDeterminism:
         b = runner(ps, OracleSession(ps.labels, rng_seed=5), cfg)
         assert a.to_payload() == b.to_payload()
 
+    @pytest.mark.parametrize("runner", [
+        run_basic, run_improved, run_basic_simplified,
+        run_improved_simplified,
+    ])
+    def test_deferred_centers_match_eager(self, runner, monkeypatch):
+        # add_center queues a recovered center until a full read of the
+        # weights; reading them after every recovery applies it at once.
+        # (run_uniform adds no center.)
+        blobs3 = blobs([(0, 0, 0, 0), (8, 0, 0, 0), (0, 8, 0, 0)], [400] * 3, 0.3, seed=3)
+        synth, _ = generate(SynthConfig(n=20_000, K=30, seed=1))
+        cfg = RecoveryConfig(eps=1.0, seed=4, draw_cap=10**10)
+        commit = RunState.commit_recovery
+
+        def eager(run, cid, center):
+            commit(run, cid, center)
+            run.sampler.weights
+
+        for ps, target in ((blobs3, None), (synth, 15)):
+            runs = []
+            for patch in (False, True):
+                if patch:
+                    monkeypatch.setattr(RunState, "commit_recovery", eager)
+                session = OracleSession(ps.labels)
+                res = runner(ps, session, cfg, target=target)
+                runs.append((res.to_payload(), session.ledger))
+            monkeypatch.undo()
+            assert runs[0] == runs[1]
+            assert res.K_recovered >= 3
+
     def test_uniform_byte_identical(self):
         ps, _ = generate(SynthConfig(n=1500, K=6, sigma=0.2, d=4, seed=9))
         cfg = RecoveryConfig(seed=17)

@@ -194,8 +194,10 @@ class TestAddCenterExact:
             assert np.frexp(s)[0] == 0.5                      # a power of two
             assert 0.5 <= np.abs(pts * s).max() < 1.0
             add_center(st, pts[0])
+            st.weights                                        # applies the queued center
             assert st._xt is None                             # built at the second center
             add_center(st, pts[1])
+            st.weights
             assert st._xt.flags.c_contiguous
             assert st._xt.tobytes() == (pts * s).T.astype(np.float32).tobytes()
         assert SamplerState(np.full((3, 2), 1e200))._scale == 0.0     # squares overflow
@@ -208,6 +210,7 @@ class TestAddCenterExact:
         b = rng.normal(size=(200, 5)) + 100.0
         st = SamplerState(np.vstack([a, b]))
         add_center(st, a.mean(axis=0))
+        st.weights                                  # applies the queued center
         cand = sampling._candidates(st, b.mean(axis=0))
         assert set(cand.tolist()) == set(range(300, 500))
 
@@ -256,9 +259,7 @@ class TestD2Sample:
     def test_ratio_distribution(self):
         st = SamplerState([[0.0], [2.0]])
         add_center(st, [-1.0])      # weights 1, 9 -> Pr(b) = 0.75... use spec's 1:3
-        st.weights = np.array([1.0, 3.0])
-        st.total = 4.0
-        st._cumsum = None
+        st.weights = np.array([1.0, 3.0])   # drops the queued center and the prefix sums
         rng = np.random.default_rng(0)
         draws = d2_sample_batch(st, rng, 20000)
         assert np.mean(draws == 1) == pytest.approx(0.75, abs=0.02)
@@ -312,10 +313,8 @@ class _Uniforms:
 def _weighted_state(weights) -> SamplerState:
     w = np.asarray(weights, dtype=np.float64)
     st = SamplerState(np.zeros((len(w), 1)))
-    st.weights = w.copy()
-    st.total = float(w.sum())
+    st.weights = w.copy()           # sums the total
     st.centers_version = 1
-    st._cumsum = None
     return st
 
 
@@ -450,12 +449,119 @@ class TestGuideTable:
         self.check(st, 12, 50)
         self.check(st, 13, 3000)
         assert st._guide is not table
-        st.weights = np.where(np.arange(300) < 150, st.weights, 0.0)
-        st.total = float(st.weights.sum())
-        st._cumsum = None                       # so does a reset by hand
+        st.weights = np.where(np.arange(300) < 150, st.weights, 0.0)   # so does a reset by hand
         self.check(st, 14, 1)
         self.check(st, 15, 3000)
         assert set(d2_sample_batch(st, rng, 3000).tolist()) <= set(range(150))
+
+
+class TestDeferredCenters:
+    """add_center queues its center. Every read equals the weights of
+    applying each center as it comes, byte for byte, whether the read
+    applies the queue (weights, total, d2_sample_batch) or reads through it
+    (weights_at)."""
+
+    @staticmethod
+    def replay(points, steps, seed=0):
+        """Run the steps ("add", c), ("bad", c), ("at", idx), ("weights",),
+        ("total",) and ("draw", size) on one state, checking each against
+        the eager reference."""
+        st = SamplerState(points)
+        n = st.n_points
+        w = np.ones(n)                  # the eager weights
+        first = True
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op, *arg in steps:
+            pending, version = len(st._pending), st.centers_version
+            if op == "add":
+                add_center(st, arg[0])
+                w = add_center_reference(None if first else w, st.points, arg[0])
+                first = False
+                assert len(st._pending) == pending + 1
+            elif op == "bad":
+                with pytest.raises(GeometryError):
+                    add_center(st, arg[0])
+                assert (len(st._pending), st.centers_version) == (pending, version)
+            elif op == "at":
+                idx = np.asarray(arg[0], dtype=np.int64)
+                assert st.weights_at(idx).tobytes() == w[idx].tobytes()
+                # The queue is applied only where the gather would be larger
+                # than a full pass.
+                assert len(st._pending) == (0 if len(idx) * pending > n else pending)
+            elif op == "weights":
+                assert st.weights.tobytes() == w.tobytes()
+                assert not st._pending
+            elif op == "total":
+                assert st.total == float(w.sum())
+            elif not first and w.sum() == 0.0:
+                with pytest.raises(FullyCovered):
+                    d2_sample_batch(st, r1, arg[0])
+            else:
+                got = d2_sample_batch(st, r1, arg[0])
+                want = (r2.integers(0, n, size=arg[0]) if first
+                        else d2_sample_reference(np.cumsum(w), r2, arg[0]))
+                np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def script(rng, centers, n):
+        """Each center followed by 0 to 3 reads of random kinds."""
+        steps = []
+        for c in centers:
+            steps.append(("add", c))
+            for _ in range(int(rng.integers(0, 4))):
+                kind = int(rng.integers(0, 7))
+                if kind == 0:
+                    steps.append(("at", rng.integers(0, n, size=int(rng.integers(1, n)))))
+                elif kind == 1:
+                    steps.append(("at", rng.integers(0, n, size=int(rng.integers(1, 8)))))
+                elif kind == 2:
+                    steps.append(("at", []))
+                elif kind == 3:
+                    steps.append(("weights",))
+                elif kind == 4:
+                    steps.append(("total",))
+                else:
+                    steps.append(("draw", int(rng.choice([1, 7, n, 3 * n]))))
+        return steps + [("at", np.arange(n)), ("weights",)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_interleavings(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 400)), int(rng.integers(1, 12))
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        if seed % 3 == 0:
+            pts = np.round(pts)                 # ties and duplicate points
+        picks = [pts[i] for i in rng.integers(0, n, size=int(rng.integers(1, 12)))]
+        centers = picks + list(rng.normal(size=(int(rng.integers(0, 6)), d)) * pts.std())
+        order = rng.permutation(len(centers))
+        self.replay(pts, self.script(rng, [centers[i] for i in order], n), seed)
+
+    def test_pending_first_center(self):
+        pts = np.random.default_rng(1).normal(size=(50, 3))
+        steps = [("at", [4, 4, 0]), ("add", pts[4]), ("at", [4, 4, 0]), ("at", []),
+                 ("add", np.zeros(3)), ("at", [7, 7, 7, 49]), ("total",),
+                 ("add", pts[9]), ("at", [9]), ("draw", 60), ("at", [9, 10])]
+        self.replay(pts, steps)
+
+    def test_far_centers(self):
+        # The centers of test_far_centers_take_the_exact_path: past the
+        # screen's 2^64 limit, and past float32's range.
+        pts = np.random.default_rng(5).uniform(1.0, 2.0, size=(200, 3))
+        for far in (1e40, 1e20):
+            centers = [pts[0], np.full(3, -far), pts[1], np.array([far, -far, 0.0])]
+            steps = []
+            for c in centers:
+                steps += [("add", c), ("at", [0, 1, 1, 199]), ("at", [])]
+            self.replay(pts, steps + [("weights",)])
+            self.replay(pts, [s for c in centers for s in (("add", c), ("draw", 5))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_center_leaves_nothing_pending(self, bad):
+        pts = np.random.default_rng(2).normal(size=(30, 2))
+        self.replay(pts, [("bad", [bad, 0.0]), ("at", [3]), ("add", pts[3]),
+                          ("bad", [0.0, bad]), ("at", [3, 5]), ("add", pts[5]),
+                          ("bad", [bad, bad]), ("weights",), ("bad", [1.0, bad]),
+                          ("at", [3, 5, 6]), ("total",)])
 
 
 class TestReferencePoint:
