@@ -27,6 +27,7 @@ class DatasetSpec:
 def load(spec: DatasetSpec):
     """Read a labeled CSV into a PointSet.
 
+    A feature that is not a finite number is an error citing its file line.
     Constant (zero-variance) feature columns are dropped; remaining features
     are standardized to mean 0 / population SD 1 when spec.normalize. Labels
     map to dense 1..L ids by first occurrence. Returns (PointSet, mapping).
@@ -72,6 +73,12 @@ def load(spec: DatasetSpec):
         except ValueError as e:
             raise DatasetError(f"{path}:{lineno}: unparseable numeric value ({e})")
         raw_labels.append(row[label_idx])
+    # A nan or inf would make its column's std NaN, and the column would
+    # be dropped below as if it were constant.
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        i, j = bad[0]
+        raise DatasetError(f"{path}:{linenos[i]}: non-finite numeric value ({features[i, j]})")
 
     keep = features.std(axis=0) > 0.0
     if not keep.any():

@@ -730,10 +730,12 @@ class _ExpEngine:
     of undiscovered labels: such a draw discovers its cluster, at one
     query per cluster discovered before it, and its acceptance coin is
     drawn and always accepts, since the draw is its cluster's reference.
-    Within a block every draw's query cost, reference point, acceptance
-    coin and pool are those of the draw-at-a-time loop that
-    `exp_engine_reference` in tests/test_recovery.py keeps, which this
-    must match.
+    The block has one layout, its (draw x cluster) one-hot, which the
+    coins, the pick rule and the costs all read down its rows; a pick cut
+    keeps a prefix of it. Within a block every draw's query cost,
+    reference point, acceptance coin and pool are those of the
+    draw-at-a-time loop that `exp_engine_reference` in
+    tests/test_recovery.py keeps, which this must match.
     """
 
     def __init__(self, run: RunState):
@@ -746,15 +748,6 @@ class _ExpEngine:
         self.sums = np.zeros((8, run.X.dim))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
-
-    def _centers_matrix(self) -> np.ndarray:
-        run = self.run
-        L = run.L
-        counts = np.maximum(run.counts[:L], 1)
-        centers = self.sums[:L] / counts[:, None]
-        for cid, c in run.centers.items():
-            centers[cid - 1] = c
-        return centers
 
     def live(self, L: int | None = None) -> np.ndarray:
         """Per cluster id 1..L (default: the discovered ones): not recovered."""
@@ -789,16 +782,14 @@ class _ExpEngine:
         while L > len(self.sums):
             self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
         live = self.live(L)
-        seg = _Segments(cl)
+        onehot = cl[:, None] == np.arange(1, L + 1)
         rng = run.rng
         saved = rng.bit_generator.state
-        hit, coin_pos = self._coins(xs, cl, seg, live)
+        hit, coin_pos, wx, ref_w = self._coins(xs, cl, onehot, live)
         upto, ready = len(xs), []
         if pick is not None:
-            upto, ready = self._pick_cut(cl, hit, live, pick, L)
-            if upto < len(xs):
-                xs, cl, seg = xs[:upto], cl[:upto], _Segments(cl[:upto])
-        costs = self._costs(xs, cl, seg)
+            upto, ready = self._pick_cut(onehot, hit, live, pick)
+        costs = self._costs(xs[:upto], cl[:upto], onehot[:upto], live)
         first = [p for p, _ in new_firsts if p < upto]
         costs[first] = peeked[first]
         try:
@@ -813,91 +804,107 @@ class _ExpEngine:
                 # draws leave it.
                 rng.bit_generator.state = saved
                 rng.random(used)
-            self._ingest(xs[:upto], cl[:upto], hit[:upto], live)
+            self._ingest(xs[:upto], cl[:upto], hit[:upto], live, wx[:upto], ref_w)
         return cl[:upto], ready
 
-    def _coins(self, xs, cl, seg, live):
+    def _coins(self, xs, cl, onehot, live):
         """Acceptance coins of a block: hit[t] for every draw, drawn in
         order for the draws of live clusters (coin_pos). The first draw of
         a cluster without a reference, a discovery among them, is its own
         reference, so its coin always accepts. The weights of the draws
-        and of the segments' reference points are one pointwise read
-        (SamplerState.weights_at), so the centers recovered since the last
-        buffer refill are applied to these rows only."""
+        and of the reference points of the live clusters drawn are one
+        pointwise read (SamplerState.weights_at), so the centers recovered
+        since the last buffer refill are applied to these rows only; they
+        are returned too, as wx per draw and ref_w per cluster (+inf
+        without a reference), for `_ingest`."""
         run = self.run
         coin_pos = np.flatnonzero(live[cl - 1])
-        refs = np.array([self.refs.get(c, -1) for c in seg.ids.tolist()], dtype=np.int64)
-        w = run.sampler.weights_at(np.concatenate([xs, refs]))
-        wx, ref_w = w[:len(xs)], w[len(xs):]
-        ref_w[refs < 0] = np.inf                # no reference point yet
+        cids = np.flatnonzero(live & onehot.any(axis=0)) + 1
+        refs = np.array([self.refs.get(c, -1) for c in cids.tolist()], dtype=np.int64)
+        has = refs >= 0
+        w = run.sampler.weights_at(np.concatenate([xs, refs[has]]))
+        wx = w[:len(xs)]
+        ref_w = np.full(onehot.shape[1], np.inf)
+        ref_w[cids[has] - 1] = w[len(xs):]
         # A draw's reference weight is the minimum, by the current weights,
         # of its cluster's reference point and the cluster's draws in the
         # block up to and including this one.
-        wref = np.minimum.accumulate(seg.rows(wx, ref_w, np.inf), axis=1)[seg.g, seg.r + 1]
-        p = _sampling._accept_prob(1.0, wref[coin_pos], wx[coin_pos])
+        wref = np.minimum.accumulate(np.vstack([ref_w, np.where(onehot, wx[:, None], np.inf)]),
+                                     axis=0)[coin_pos + 1, cl[coin_pos] - 1]
+        p = _sampling._accept_prob(1.0, wref, wx[coin_pos])
         hit = np.zeros(len(xs), dtype=bool)
         hit[coin_pos] = run.rng.random(len(coin_pos)) < p
-        return hit, coin_pos
+        return hit, coin_pos, wx, ref_w
 
-    def _pick_cut(self, cl, hit, live, pick, L):
+    def _pick_cut(self, onehot, hit, live, pick):
         """The draws up to the first at which pick fires, and what it names."""
         run = self.run
-        onehot = cl[:, None] == np.arange(1, L + 1)
+        L = onehot.shape[1]
         counts = run.counts[:L] + np.cumsum(onehot, axis=0)
         pools = self.pools(L) + np.cumsum(onehot & hit[:, None], axis=0)
         fire = pick(counts, pools, live, run.config.heavy_threshold)
         rows = np.flatnonzero(fire.any(axis=1))
         if not len(rows):
-            return len(cl), []
+            return len(onehot), []
         return int(rows[0]) + 1, (np.flatnonzero(fire[rows[0]]) + 1).tolist()
 
-    def _costs(self, xs: np.ndarray, cl: np.ndarray, seg: _Segments) -> np.ndarray:
+    def _costs(self, xs: np.ndarray, cl: np.ndarray, onehot: np.ndarray,
+               live: np.ndarray) -> np.ndarray:
         """Queries of each draw: the rank of its cluster among the running
         centers before it, by squared distance, ties by id.
 
-        A cluster's running sum is np.cumsum along its segment row, which
-        adds in the order of sequential +=, and its running center that sum
-        over max(count, 1); recovered clusters keep their recovered center.
-        A cluster the draws discover has no center before its first draw
-        (+inf distance, which distance_ranks treats as not existing); the
-        rank computed for that first draw is meaningless, and the caller
-        replaces it.
+        Every draw starts from the centers before the block: running sum
+        over max(count, 1), a recovered cluster's own center, and +inf for
+        a cluster the block discovers (which distance_ranks treats as not
+        existing). Only the columns of live clusters drawn in the block
+        move: their running sums are np.cumsum down [sums; the draws'
+        points where the one-hot is set, 0.0 elsewhere]. Adding 0.0 leaves
+        a partial sum unchanged (none is -0.0, the sums starting at +0.0),
+        so this adds in the order of sequential +=. A discovered cluster
+        stays at +inf through its first draw; the rank computed for that
+        draw is meaningless, and the caller replaces it.
         """
         run = self.run
-        m, L0 = len(xs), run.L
-        L = max(L0, int(cl.max()))
+        L0 = run.L
+        m, L = onehot.shape
         P = run.X.points[xs]
-        ids = seg.ids
-        Z = seg.rows(P, self.sums[ids - 1], 0.0)
-        counts = run.counts[ids - 1][:, None] + np.arange(seg.width)
-        means = np.cumsum(Z, axis=1) / np.maximum(counts, 1)[:, :, None]
-        means[ids > L0, 0] = np.inf
-        # Row c of the table is cluster c + 1's center before the block;
-        # row L0 + (g, k) is segment g's center after k of its draws.
-        table = np.concatenate([self._centers_matrix(), means.reshape(-1, P.shape[1])])
-        index = np.tile(np.arange(L), (m, 1))
-        moving = np.array([c not in run.centers for c in ids.tolist()], dtype=bool)
-        drawn = cl[:, None] == ids[moving]
-        index[:, ids[moving] - 1] = (L0 + np.flatnonzero(moving) * seg.width
-                                     + np.cumsum(drawn, axis=0) - drawn)
-        C = table[index]
+        centers = np.full((L, P.shape[1]), np.inf)
+        centers[:L0] = self.sums[:L0] / np.maximum(run.counts[:L0], 1)[:, None]
+        for cid, c in run.centers.items():
+            centers[cid - 1] = c
+        mv = np.flatnonzero(live & onehot.any(axis=0))
+        drawn = onehot[:, mv]
+        sums = np.zeros((m + 1, len(mv), P.shape[1]))
+        sums[0] = self.sums[mv]
+        t, j = np.nonzero(drawn)
+        sums[t + 1, j] = P[t]
+        np.cumsum(sums, axis=0, out=sums)
+        before = np.cumsum(drawn, axis=0) - drawn       # block draws before each row
+        means = sums[:-1]
+        means /= np.maximum(run.counts[mv] + before, 1)[:, :, None]
+        means[(before == 0) & (mv >= L0)] = np.inf
+        C = np.repeat(centers[None], m, axis=0)
+        C[:, mv] = means
         C -= P[:, None, :]
         return _oracle.distance_ranks(np.einsum("mld,mld->ml", C, C), cl)
 
-    def _ingest(self, xs, cl, hit, live):
-        """Commit draws: counts, owners and sums, then refs and pools."""
+    def _ingest(self, xs, cl, hit, live, wx, ref_w):
+        """Commit draws: counts, owners and sums, then refs and pools. The
+        references are ranked by the weights `_coins` read, wx of the
+        draws and ref_w of the old references; no center is added in
+        between."""
         run = self.run
         self._pos += len(xs)
         run.ingest(xs, cl)
         np.add.at(self.sums, cl - 1, run.X.points[xs])
         mine = live[cl - 1]
-        c, x = cl[mine], xs[mine]
-        seen = set(c.tolist())
-        old = [(k, v) for k, v in self.refs.items() if k in seen]
+        c, x, w = cl[mine], xs[mine], wx[mine]
+        old = [k for k in set(c.tolist()) if k in self.refs]
         if old:
-            c = np.append(c, [k for k, _ in old])
-            x = np.append(x, [v for _, v in old])
-        order = np.lexsort((x, run.sampler.weights_at(x), c))
+            c = np.append(c, old)
+            x = np.append(x, [self.refs[k] for k in old])
+            w = np.append(w, ref_w[np.array(old) - 1])
+        order = np.lexsort((x, w, c))
         _, first = np.unique(c[order], return_index=True)
         for k, v in zip(c[order[first]].tolist(), x[order[first]].tolist()):
             self.refs[k] = v
@@ -917,31 +924,6 @@ class _ExpEngine:
         fire = pick(run.counts[None, :L], self.pools()[None], self.live(),
                     run.config.heavy_threshold)
         return (np.flatnonzero(fire[0]) + 1).tolist()
-
-
-class _Segments:
-    """A block's draws grouped by cluster, in draw order within a cluster.
-
-    ids are the clusters present, ascending; draw t is the r[t]-th draw of
-    segment g[t]. rows() lays a per-draw array out as one row per segment,
-    after a start column, so that accumulating along a row runs over one
-    cluster's draws in order.
-    """
-
-    def __init__(self, cl: np.ndarray):
-        order = np.argsort(cl, kind="stable")
-        self.ids, start, n = np.unique(cl[order], return_index=True, return_counts=True)
-        self.g = np.empty(len(cl), dtype=np.int64)
-        self.g[order] = np.repeat(np.arange(len(self.ids)), n)
-        self.r = np.empty(len(cl), dtype=np.int64)
-        self.r[order] = np.arange(len(cl)) - np.repeat(start, n)
-        self.width = int(n.max()) + 1
-
-    def rows(self, values: np.ndarray, start: np.ndarray, fill: float) -> np.ndarray:
-        out = np.full((len(self.ids), self.width) + values.shape[1:], fill)
-        out[:, 0] = start
-        out[self.g, self.r + 1] = values
-        return out
 
 
 def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:

@@ -24,6 +24,8 @@ class SynthConfig:
     def __post_init__(self):
         if not (self.n >= self.K >= 1):
             raise ValueError("need n >= K >= 1")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.alpha <= 1.0:
             raise ValueError("Zipf exponent must exceed 1")
         if min(self.sigma, self.b, self.rho) <= 0:

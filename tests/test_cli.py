@@ -58,6 +58,13 @@ class TestSynthCommand:
         assert len(ps) == 800
         assert ps.n_clusters == 4
 
+    def test_zero_dimension_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert run_cli(["synth", "--synth", "n=50,K=3,d=0,p=0.5", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "d must be >= 1, got 0"}
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def test_budget_csv(self, tmp_path):

@@ -65,6 +65,13 @@ class TestLoad:
         with pytest.raises(DatasetError, match=":2"):
             load(DatasetSpec(p))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        # Its column's std would be NaN, and the column dropped as constant.
+        p = write(tmp_path, f"0,1,a\n1,{value},a\n5,2,b\n6,inf,b\n")
+        with pytest.raises(DatasetError, match=rf"data\.csv:2: non-finite numeric value \({value}\)"):
+            load(DatasetSpec(p))
+
     def test_all_constant_rejected(self, tmp_path):
         p = write(tmp_path, "5,a\n5,b\n")
         with pytest.raises(DatasetError, match="constant"):

@@ -1053,6 +1053,34 @@ class TestExpEngineReference:
         assert min(cases.values()) > 0, cases
 
 
+class TestExpEngineWeightReads:
+    @pytest.mark.parametrize("runner", [run_basic_simplified, run_improved_simplified])
+    def test_one_weights_read_per_take(self, runner, monkeypatch):
+        # No center is added inside a take, so the weights its coins read
+        # also rank its references: one pointwise read per block.
+        reads, per_take = [0], []
+        weights_at, take = sampling.SamplerState.weights_at, recovery._ExpEngine.take
+
+        def counting_weights_at(self, idx):
+            reads[0] += 1
+            return weights_at(self, idx)
+
+        def counting_take(self, limit, pick=None):
+            before = reads[0]
+            try:
+                return take(self, limit, pick)
+            finally:
+                per_take.append(reads[0] - before)
+
+        monkeypatch.setattr(sampling.SamplerState, "weights_at", counting_weights_at)
+        monkeypatch.setattr(recovery._ExpEngine, "take", counting_take)
+        ps = _exp_fixtures()[0]
+        res = runner(ps, OracleSession(ps.labels), RecoveryConfig(eps=0.5, seed=7,
+                                                                 heavy_threshold=3))
+        assert res.K_recovered >= 3 and len(per_take) > res.K_recovered
+        assert per_take == [1] * len(per_take)
+
+
 class TestPhase1Probe:
     def test_all_recovered_probe_fails_after_t1(self):
         ps = blobs([(0.0, 0.0)], [200], 0.1)

@@ -140,6 +140,12 @@ class TestSynthConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(n=10, K=2, alpha=1.0)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_bad_dimension(self, d):
+        for p in (0.0, 0.5):
+            with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+                SynthConfig(n=50, K=3, d=d, p_collision=p)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             SynthConfig(n=5, K=10)
