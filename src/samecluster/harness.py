@@ -74,6 +74,8 @@ class ExperimentPlan:
             raise ValueError("trials must be >= 1")
         if self.budgets and list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly increasing")
+        if self.budgets and self.budgets[0] < 0:
+            raise ValueError(f"budgets must be >= 0, got {self.budgets[0]}")
         if (self.synth is None) == (self.dataset is None):
             raise ValueError("exactly one of synth or dataset must be given")
 

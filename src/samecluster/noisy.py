@@ -100,12 +100,16 @@ def _noisy_probe(run: RunState) -> bool:
     """Phase 1: D2-sample floor(T1)+1 points in one batch and report whether
     one matches no recovered cluster (checked up to the first that does not).
 
-    A batch that would pass the draw cap is not drawn.
+    A batch that would pass the draw cap is not drawn. When every point
+    coincides with a recovered center, no mass is left unrecovered.
     """
     n1 = math.floor(threshold_t1(run.config.eps, run.k)) + 1
     if run.room(n1) < n1:
         raise _DrawCap()
-    probe = _sampling.d2_sample_batch(run.sampler, run.rng, n1)
+    try:
+        probe = _sampling.d2_sample_batch(run.sampler, run.rng, n1)
+    except _sampling.FullyCovered:
+        return False
     run.draws += n1
     return any(check_cluster(run.session, int(x), run.reps) is None for x in probe)
 
@@ -129,20 +133,15 @@ def _noisy_round(run: RunState, config: NoisyConfig, k_guess: int, log: dict) ->
         S = _sampling.d2_sample_batch(run.sampler, run.rng, T)
         run.draws += T
         _, Z = find_clusters(S, session, config)
-        fresh: dict[int, list[int]] = {}
-        for gid, g in Z.items():
-            if check_cluster(session, g[0], run.reps) is None:
-                fresh[gid] = g
+        fresh = [g for g in Z.values() if check_cluster(session, g[0], run.reps) is None]
         if len(fresh) >= q / 2:
             break
         q *= 2
-    # Bands over the surviving fresh groups' sample frequencies.
-    groups = {i + 1: g for i, g in enumerate(fresh.values())}
-    p_hat = {gid: len(g) / T for gid, g in groups.items()}
-    part = split_bands(p_hat, q=len(groups))
+    # Bands over the surviving fresh groups' sample frequencies, numbered 1..m.
+    part = split_bands({j: len(g) / T for j, g in enumerate(fresh, 1)}, q=len(fresh))
     # The heavy groups, renumbered 1..|W| in W's sorted order, as their
     # distinct members in sampling order.
-    heavy = [list(dict.fromkeys(groups[j])) for j in part.heavy_clusters()]
+    heavy = [list(dict.fromkeys(fresh[j - 1])) for j in part.heavy_clusters()]
     if not heavy:
         return False
     # Phase 3: reference point = minimum-weight member of each group.

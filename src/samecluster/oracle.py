@@ -44,6 +44,8 @@ class OracleSession:
             raise OracleError("truth labels must be a non-empty 1-d sequence")
         if not (0.0 <= error_prob < 0.5):
             raise OracleError(f"error_prob must be in [0, 0.5), got {error_prob}")
+        if budget is not None and budget < 0:
+            raise OracleError(f"budget must be >= 0, got {budget}")
         self.error_prob = float(error_prob)
         self.rng_seed = int(rng_seed)
         self._rng = np.random.default_rng(self.rng_seed)

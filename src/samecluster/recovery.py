@@ -297,14 +297,10 @@ class RunState:
 
     # -- recovery commit ----------------------------------------------------
 
-    def record_recovery(self, cid: int, center: np.ndarray):
-        """Record a recovered cluster and its center; the D2 weights stay."""
-        self.centers[cid] = np.asarray(center, dtype=np.float64)
-
     def commit_recovery(self, cid: int, center: np.ndarray):
         """Record a recovered cluster and add its center to the sampler."""
         _sampling.add_center(self.sampler, center)
-        self.record_recovery(cid, center)
+        self.centers[cid] = np.asarray(center, dtype=np.float64)
 
     def check_target(self):
         if self.target is not None and self.k >= self.target:
@@ -1017,8 +1013,8 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
                 target: int | None = None) -> RecoveryResult:
     """Uniform draws with replacement; a cluster is recovered once it holds
     strictly more than heavy_threshold samples. Runs until budget, target
-    or the draw cap. No draw reads the D2 weights, so recoveries leave the
-    sampler untouched."""
+    or the draw cap. A recovery queues its center on the sampler
+    (sampling.add_center), which no uniform draw reads."""
     if session.budget is None and target is None:
         raise ValueError("run_uniform needs a query budget or a recovery target")
     run = RunState(X, session, config, target)
@@ -1026,13 +1022,31 @@ def run_uniform(X: PointSet, session: OracleSession, config: RecoveryConfig,
 
 
 def _uniform_draws(run: RunState):
+    """Draw, classify and commit uniform blocks of 4096 draws.
+
+    A draw is a recovery event when it is its cluster's (h+1)-th sample:
+    its committed draws before the block (run.counts) plus its earlier
+    draws in the block, ranked by one stable argsort. A block with a
+    target is committed through its (target - k)-th event. The center is
+    the mean of the cluster's first h+1 draws, the only draws kept; the
+    run never reads the centers it queues.
+    """
     h = run.config.heavy_threshold
     n = len(run.X)
-    pending: dict[int, list[int]] = {}
+    kept_idx = kept_cl = np.zeros(0, dtype=np.int64)     # first h+1 draws per cluster
     while True:
         idx = run.rng.integers(0, n, size=run.room(4096))
         cl, costs, new_firsts = _oracle.peek_classify(run.session, idx, run.reps)
-        cut, events = _uniform_scan(run, cl, h, pending)
+        run.reserve(int(cl.max()))
+        order = np.argsort(cl, kind="stable")
+        ranked = cl[order]
+        seen = np.empty_like(cl)            # the cluster's samples before this draw
+        seen[order] = np.arange(len(cl)) - np.searchsorted(ranked, ranked)
+        seen += run.counts[cl - 1]
+        events = np.flatnonzero(seen == h)
+        cut = len(cl)
+        if run.target is not None and len(events) >= run.target - run.k:
+            cut = int(events[run.target - run.k - 1]) + 1
         try:
             run.commit_peeked(idx, cl, costs, new_firsts, cut)
         except BudgetExhausted as e:
@@ -1040,36 +1054,10 @@ def _uniform_draws(run: RunState):
             raise
         finally:
             # Recover what the committed draws complete, budget or not.
-            for p in range(cut):
-                pending.setdefault(int(cl[p]), []).append(int(idx[p]))
-            for p, cid in events:
-                if p < cut:
-                    first = run.X.points[np.asarray(pending[cid][:h + 1])]
-                    run.record_recovery(cid, first.mean(axis=0))
+            keep = seen[:cut] <= h
+            kept_idx = np.concatenate([kept_idx, idx[:cut][keep]])
+            kept_cl = np.concatenate([kept_cl, cl[:cut][keep]])
+            for cid in cl[events[events < cut]].tolist():
+                run.commit_recovery(cid, run.X.points[kept_idx[kept_cl == cid]].mean(axis=0))
             run.round = run.k  # one recovery per "round" for reporting
         run.check_target()
-
-
-def _uniform_scan(run: RunState, cl: np.ndarray, h: int,
-                  pending: dict[int, list[int]]):
-    """Walk a peeked batch for recovery events, up to the target.
-
-    Returns (cut, events): the draws to commit, which is the whole batch or
-    the prefix through the draw that reaches the target, and the recovery
-    events [(position, cid)] inside that prefix.
-    """
-    k = run.k
-    target = run.target
-    events: list[tuple[int, int]] = []
-    recovered = set(run.centers)
-    counts: dict[int, int] = {}
-    for p, cid in enumerate(cl.tolist()):
-        if cid not in recovered:
-            counts[cid] = counts.get(cid, 0) + 1
-            if len(pending.get(cid, ())) + counts[cid] > h:
-                events.append((p, cid))
-                recovered.add(cid)
-                k += 1
-                if target is not None and k >= target:
-                    return p + 1, events
-    return len(cl), events

@@ -77,6 +77,15 @@ class TestSweepCommands:
         assert {r["algorithm"] for r in rows} == {"uniform", "basic"}
         assert {r["x"] for r in rows} == {100, 400}
 
+    def test_negative_budget_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "budget.json"
+        code = run_cli(["budget", "--budgets=-5,10", "--algo", "uniform", "--trials", "1",
+                        "--synth", SYNTH, "--out", str(out), "--format", "json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "budgets must be >= 0, got -5"}
+        assert not out.exists()
+
     def test_recovery_json(self, tmp_path):
         out = tmp_path / "recovery.json"
         code = run_cli(["recovery", "--targets", "2", "--algo", "basic",

@@ -54,6 +54,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan("fixed_budget", budgets=[100, 100])
 
+    def test_negative_budget_rejected(self):
+        # Rejected when the plan is built, before any trial runs.
+        with pytest.raises(ValueError, match="budgets must be >= 0, got -5"):
+            small_plan("fixed_budget", budgets=[-5, 10])
+        small_plan("fixed_budget", budgets=[0, 10])
+
     def test_dataset_xor_synth(self):
         with pytest.raises(ValueError):
             ExperimentPlan(mode="fixed_budget", algorithms=["uniform"],

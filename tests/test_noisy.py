@@ -191,6 +191,19 @@ class TestRunNoisy:
         assert res.stop_reason == "draw_cap"
         assert res.incomplete is True
 
+    def test_fully_covered_probe_terminates(self):
+        # Three point masses: once each holds a recovered center, every D2
+        # weight is 0 and the Phase-1 probe finds no unrecovered mass.
+        pts = np.repeat([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], [60, 40, 30], axis=0)
+        labels = np.repeat([1, 2, 3], [60, 40, 30])
+        sess = OracleSession(labels, error_prob=0.1, rng_seed=0)
+        res = run_noisy(PointSet(pts, labels=labels), sess,
+                        NoisyConfig(p=0.1, min_cluster_frac=0.1), 1.0, seed=0,
+                        draw_cap=10 ** 6)
+        assert res.stop_reason == "terminated"
+        assert set(res.truth_labels.values()) == {1, 2, 3}
+        assert res.queries_total == sess.ledger
+
 
 def rej_samp_scalar_reference(state, W, ref_w, scale, quota, accepted, *, rng, checker, draw_cap):
     """The checker rejection loop, one draw at a time.

@@ -77,6 +77,11 @@ def charge_loop(start: int, costs, budget):
 
 
 class TestCharge:
+    def test_negative_budget_rejected(self):
+        with pytest.raises(OracleError, match="budget must be >= 0, got -1"):
+            make_session(budget=-1)
+        assert make_session(budget=0).budget == 0
+
     def test_matches_item_loop(self):
         rng = np.random.default_rng(11)
         for _ in range(300):

@@ -741,6 +741,25 @@ class TestUniformReference:
                 assert (got.samples_total - 1) // 4096 == (full.samples_total - 1) // 4096
         assert recovered_under_budget >= 3
 
+    @pytest.mark.parametrize("h", [1, 25])
+    def test_other_thresholds(self, h):
+        # h = 1: all four clusters reach h+1 inside the first block.
+        # h = 25: the rare cluster's (h+1)-th draw lands blocks after
+        # the first.
+        ps = blobs([(0.0, 0.0), (9.0, 0.0), (0.0, 9.0), (9.0, 9.0)],
+                   [3000, 1500, 490, 10], 0.1, seed=3)
+        cfg = RecoveryConfig(seed=5, heavy_threshold=h)
+        full = run_uniform(ps, OracleSession(ps.labels), cfg, target=4)
+        assert full.stop_reason == "target"
+        assert (full.samples_total <= 4096) if h == 1 else (full.samples_total > 2 * 4096)
+        L = full.queries_total
+        cases = [(b, 4) for b in (None, 0, 5, L // 2, L - 1, L, L + 1)]
+        cases += [(b, None) for b in (5, L // 3, L // 2, L + 1)]
+        for budget, target in cases:
+            got = run_uniform(ps, OracleSession(ps.labels, budget=budget), cfg, target)
+            want = uniform_reference(ps, OracleSession(ps.labels, budget=budget), cfg, target)
+            assert got.to_payload() == want.to_payload(), (budget, target)
+
 
 # ---------------------------------------------------------------------------
 # Draw-at-a-time reference for the block experiment engine
@@ -1121,7 +1140,7 @@ class TestDeterminism:
     def test_deferred_centers_match_eager(self, runner, monkeypatch):
         # add_center queues a recovered center until a full read of the
         # weights; reading them after every recovery applies it at once.
-        # (run_uniform adds no center.)
+        # (run_uniform never reads the weights.)
         blobs3 = blobs([(0, 0, 0, 0), (8, 0, 0, 0), (0, 8, 0, 0)], [400] * 3, 0.3, seed=3)
         synth, _ = generate(SynthConfig(n=20_000, K=30, seed=1))
         cfg = RecoveryConfig(eps=1.0, seed=4, draw_cap=10**10)
