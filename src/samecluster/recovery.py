@@ -145,6 +145,8 @@ class RecoveryConfig:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.heavy_threshold < 1:
             raise ValueError("heavy_threshold must be >= 1")
+        if self.draw_cap < 0:
+            raise ValueError(f"draw_cap must be >= 0, got {self.draw_cap}")
 
 
 @dataclass
@@ -180,6 +182,13 @@ class _DrawCap(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Shared run state
+
+def _live(centers, L: int) -> np.ndarray:
+    """Per cluster id 1..L: not recovered (not a key of centers)."""
+    live = np.ones(L, dtype=bool)
+    live[[c - 1 for c in centers]] = False
+    return live
+
 
 class RunState:
     """Mutable state of one recovery run over one dataset and session."""
@@ -223,8 +232,8 @@ class RunState:
 
     def Q(self) -> list[int]:
         """Sampled-but-unrecovered clusters."""
-        return [cid for cid in range(1, self.L + 1)
-                if cid not in self.centers and self.counts[cid - 1] > 0]
+        L = self.L
+        return (np.flatnonzero(_live(self.centers, L) & (self.counts[:L] > 0)) + 1).tolist()
 
     def reset_round_state(self):
         """Theory semantics without sample reuse: the sample counts and
@@ -457,8 +466,7 @@ def _basic_round(run: RunState, log: dict):
             break
         run.draw_classified_fill(gap)
     Q = run.Q()
-    counts = {cid: int(run.counts[cid - 1]) for cid in Q}
-    j = min(Q, key=lambda c: (-counts[c], c))
+    j = min(Q, key=lambda c: (-run.counts[c - 1], c))
     _recover_rejection(run, log, [j], basic_t2(eps, k, len(Q)), basic_t3(eps, run.round))
 
 
@@ -601,9 +609,7 @@ def _phase2_stop(run: RunState, cl: np.ndarray, new_firsts) -> int | None:
         return scale * log2p(q) * math.log(10.0 * (k + q))
 
     m = run.L + len(new_firsts)
-    live = np.ones(m + 1, dtype=bool)
-    live[0] = False
-    live[list(run.centers)] = False
+    live = np.r_[False, _live(run.centers, m)]      # by cluster id, 0 not one
     counts = np.zeros(m + 1, dtype=np.int64)      # live counts before a segment
     counts[1:run.L + 1] = run.counts[:run.L]
     counts[~live] = 0
@@ -745,12 +751,6 @@ class _ExpEngine:
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
-    def live(self, L: int | None = None) -> np.ndarray:
-        """Per cluster id 1..L (default: the discovered ones): not recovered."""
-        live = np.ones(self.run.L if L is None else L, dtype=bool)
-        live[[c - 1 for c in self.run.centers]] = False
-        return live
-
     def take(self, limit: int, pick=None) -> tuple[np.ndarray, list[int]]:
         """Take and commit up to `limit` (>= 1) draws as one block.
 
@@ -777,14 +777,16 @@ class _ExpEngine:
         run.reserve(L)
         while L > len(self.sums):
             self.sums = np.vstack([self.sums, np.zeros_like(self.sums)])
-        live = self.live(L)
+        live = _live(run.centers, L)
         onehot = cl[:, None] == np.arange(1, L + 1)
         rng = run.rng
         saved = rng.bit_generator.state
         hit, coin_pos, wx, ref_w = self._coins(xs, cl, onehot, live)
         upto, ready = len(xs), []
         if pick is not None:
-            upto, ready = self._pick_cut(onehot, hit, live, pick)
+            upto, ready = _fire(run.counts[:L] + np.cumsum(onehot, axis=0),
+                                self.pools(L) + np.cumsum(onehot & hit[:, None], axis=0),
+                                live, pick, run.config.heavy_threshold)
         costs = self._costs(xs[:upto], cl[:upto], onehot[:upto], live)
         first = [p for p, _ in new_firsts if p < upto]
         costs[first] = peeked[first]
@@ -831,18 +833,6 @@ class _ExpEngine:
         hit = np.zeros(len(xs), dtype=bool)
         hit[coin_pos] = run.rng.random(len(coin_pos)) < p
         return hit, coin_pos, wx, ref_w
-
-    def _pick_cut(self, onehot, hit, live, pick):
-        """The draws up to the first at which pick fires, and what it names."""
-        run = self.run
-        L = onehot.shape[1]
-        counts = run.counts[:L] + np.cumsum(onehot, axis=0)
-        pools = self.pools(L) + np.cumsum(onehot & hit[:, None], axis=0)
-        fire = pick(counts, pools, live, run.config.heavy_threshold)
-        rows = np.flatnonzero(fire.any(axis=1))
-        if not len(rows):
-            return len(onehot), []
-        return int(rows[0]) + 1, (np.flatnonzero(fire[rows[0]]) + 1).tolist()
 
     def _costs(self, xs: np.ndarray, cl: np.ndarray, onehot: np.ndarray,
                live: np.ndarray) -> np.ndarray:
@@ -907,19 +897,10 @@ class _ExpEngine:
         for k, v in zip(cl[hit].tolist(), xs[hit].tolist()):
             self.accepted.setdefault(k, []).append(v)
 
-    def pools(self, L: int | None = None) -> np.ndarray:
-        """Uniform pool size per cluster id 1..L (default: the discovered ones)."""
-        L = self.run.L if L is None else L
+    def pools(self, L: int) -> np.ndarray:
+        """Uniform pool size per cluster id 1..L."""
         return np.array([len(self.accepted.get(c, ())) for c in range(1, L + 1)],
                         dtype=np.int64)
-
-    def ready(self, pick) -> list[int]:
-        """The clusters pick names on the current state."""
-        run = self.run
-        L = run.L
-        fire = pick(run.counts[None, :L], self.pools()[None], self.live(),
-                    run.config.heavy_threshold)
-        return (np.flatnonzero(fire[0]) + 1).tolist()
 
 
 def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
@@ -933,7 +914,7 @@ def _phase1_probe_engine(run: RunState, engine: _ExpEngine) -> bool:
             cl, _ = engine.take(run.room(left))
         except FullyCovered:
             return seen_new
-        seen_new = seen_new or bool(engine.live()[cl - 1].any())
+        seen_new = seen_new or bool(_live(run.centers, run.L)[cl - 1].any())
         left -= len(cl)
     return seen_new
 
@@ -954,7 +935,9 @@ def _experiment_rounds(run: RunState, pick):
                                if cid in run.centers}
         if not _phase1_probe_engine(run, engine):
             return
-        ready = engine.ready(pick)
+        L = run.L
+        _, ready = _fire(run.counts[None, :L], engine.pools(L)[None],
+                         _live(run.centers, L), pick, h)
         size = 32
         while not ready:
             _, ready = engine.take(run.room(size), pick)
@@ -971,21 +954,33 @@ def _experiment_rounds(run: RunState, pick):
 # (sample count and uniform pool size of cluster c + 1 after position t)
 # and live[c] (not recovered), to ready[t, c]: whether the
 # rule, evaluated after position t, recovers cluster c + 1. A row with no
-# ready cluster means the rule does not fire there. Q is the live clusters
-# with samples, and a cluster of Q is heavy when its pool holds strictly
-# more than h samples.
+# ready cluster means the rule does not fire there. A live cluster is
+# heavy when its pool holds strictly more than h samples. A pool is drawn
+# from its own cluster's samples, so a heavy cluster is in Q (the live
+# clusters with samples), and a live cluster without samples adds 0 to
+# the mass of Q.
+
+def _fire(counts, pools, live, pick, h) -> tuple[int, list[int]]:
+    """Evaluate pick on state rows: the rows up to and including the first
+    at which it fires, and the cluster ids it names there; all the rows
+    and no id when it fires at none."""
+    fire = pick(counts, pools, live, h)
+    rows = np.flatnonzero(fire.any(axis=1))
+    if not len(rows):
+        return len(fire), []
+    return int(rows[0]) + 1, (np.flatnonzero(fire[rows[0]]) + 1).tolist()
+
 
 def _pick_first(counts, pools, live, h) -> np.ndarray:
     """The heavy cluster of lowest index."""
-    heavy = live & (counts > 0) & (pools > h)
+    heavy = live & (pools > h)
     return heavy & (np.cumsum(heavy, axis=1) == 1)
 
 
 def _pick_heavy_mass(counts, pools, live, h) -> np.ndarray:
     """All heavy clusters, once they hold over half the raw sample mass of Q."""
-    in_q = live & (counts > 0)
-    heavy = in_q & (pools > h)
-    fires = 2 * (counts * heavy).sum(axis=1) > (counts * in_q).sum(axis=1)
+    heavy = live & (pools > h)
+    fires = 2 * (counts * heavy).sum(axis=1) > (counts * live).sum(axis=1)
     return heavy & fires[:, None]
 
 

@@ -382,7 +382,7 @@ def _accept_prob(scale: float, ref_w: np.ndarray, wx: np.ndarray) -> np.ndarray:
 def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
              T, eps: float, *, rng: np.random.Generator,
              reps: _oracle.Representatives | None = None,
-             checker=None, draw_cap: int = 10**8, preaccepted: dict | None = None):
+             checker=None, draw_cap: int = 10**8):
     """Rejection sampling: thin D2-draws so accepted points are uniform per cluster.
 
     Draws, classifies, and for clusters j in W accepts a draw x with
@@ -417,8 +417,7 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     W = sorted(W)
     scale = eps / 128.0
     quota = {j: (T[j] if isinstance(T, dict) else int(T)) for j in W}
-    accepted: dict[int, list[int]] = {j: list(preaccepted.get(j, [])) if preaccepted else []
-                                      for j in W}
+    accepted: dict[int, list[int]] = {j: [] for j in W}
     for j in W:
         if j not in refs:
             raise ValueError(f"no reference point for cluster {j}")

@@ -86,6 +86,16 @@ class TestSweepCommands:
         assert err == {"type": "ValueError", "message": "budgets must be >= 0, got -5"}
         assert not out.exists()
 
+    def test_negative_draw_cap_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "recovery.json"
+        code = run_cli(["recovery", "--targets", "2", "--algo", "basic", "--trials", "1",
+                        "--synth", SYNTH, "--draw-cap", "-1", "--out", str(out),
+                        "--format", "json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "draw_cap must be >= 0, got -1"}
+        assert not out.exists()
+
     def test_recovery_json(self, tmp_path):
         out = tmp_path / "recovery.json"
         code = run_cli(["recovery", "--targets", "2", "--algo", "basic",

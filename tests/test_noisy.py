@@ -191,6 +191,13 @@ class TestRunNoisy:
         assert res.stop_reason == "draw_cap"
         assert res.incomplete is True
 
+    def test_negative_draw_cap_is_an_error(self):
+        ps, _ = load(DatasetSpec(DATA / "three_blobs.csv", normalize=False))
+        sess = OracleSession(ps.labels, error_prob=0.1, rng_seed=1)
+        with pytest.raises(ValueError, match="draw_cap must be >= 0, got -3"):
+            run_noisy(ps, sess, NoisyConfig(p=0.1), eps=0.5, seed=2, draw_cap=-3)
+        assert sess.ledger == 0
+
     def test_fully_covered_probe_terminates(self):
         # Three point masses: once each holds a recovered center, every D2
         # weight is 0 and the Phase-1 probe finds no unrecovered mass.
@@ -244,7 +251,7 @@ def plain_checker(session, w_reps):
 def _rej_fixtures():
     """Random small blob sets, each with two rejection passes over different
     representative sets: the first before any center (uniform draws), the
-    second after one (D2 draws), with an over-filled preaccepted pool."""
+    second after one (D2 draws), with an over-filled carried pool."""
     for seed in range(3):
         rng = np.random.default_rng(seed)
         K = int(rng.integers(3, 6))
@@ -270,7 +277,7 @@ def _rej_fixtures():
                 W=W, refs=refs, members=members,
                 T={j: int(rng.integers(2, 7)) for j in W},
                 center=center,
-                preaccepted={W[0]: [refs[W[0]]] * 8} if centered else None))
+                carried={W[0]: [refs[W[0]]] * 8} if centered else None))
         yield seed, labels, pts, passes
 
 
@@ -298,10 +305,14 @@ def _run_passes(monkeypatch, fixture, p, reference, budget=None, cap=10 ** 6, tr
                 checker = plain_checker(session, w_reps)
                 if trace is not None:
                     checker = _traced(checker, session, trace, k)
+                # A carried pool lowers its cluster's quota and heads its
+                # accepted list.
+                pre = spec["carried"] or {}
+                quota = {j: t - len(pre.get(j, [])) for j, t in spec["T"].items()}
                 acc, draws, queries = sampling.rej_samp(
-                    state, session, spec["W"], spec["refs"], spec["T"], 12.8,
-                    rng=rng, checker=checker, draw_cap=cap,
-                    preaccepted=spec["preaccepted"])
+                    state, session, spec["W"], spec["refs"], quota, 12.8,
+                    rng=rng, checker=checker, draw_cap=cap)
+                acc = {j: pre.get(j, []) + v for j, v in acc.items()}
                 short = any(len(acc[j]) < spec["T"][j] for j in spec["W"])
                 outcomes.append(("cap" if short else "done", acc, draws, queries))
         except BudgetExhausted:

@@ -1100,6 +1100,36 @@ class TestExpEngineWeightReads:
         assert per_take == [1] * len(per_take)
 
 
+class TestExpEnginePools:
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("runner", [run_basic_simplified, run_improved_simplified])
+    def test_live_pools_within_counts(self, runner, reuse, monkeypatch):
+        # The pick rules take a heavy cluster to be sampled, and a live
+        # cluster without samples to add nothing to the mass: both hold
+        # only while no live cluster's pool outgrows its sample count.
+        takes = []
+        take = recovery._ExpEngine.take
+
+        def checking_take(self, limit, pick=None):
+            try:
+                return take(self, limit, pick)
+            finally:
+                run = self.run
+                live = [c for c in range(1, run.L + 1) if c not in run.centers]
+                pools = {c: len(self.accepted.get(c, ())) for c in live}
+                over = [c for c in live if pools[c] > run.counts[c - 1]]
+                assert not over, (run.draws, over)
+                takes.append(sum(pools.values()))
+
+        monkeypatch.setattr(recovery._ExpEngine, "take", checking_take)
+        for ps in _exp_fixtures():
+            cfg = RecoveryConfig(eps=0.5, seed=7, reuse_samples=reuse, heavy_threshold=3)
+            res = runner(ps, OracleSession(ps.labels), cfg)
+            assert res.K_recovered >= 3
+        # Most takes end with live pools to check.
+        assert 2 * sum(map(bool, takes)) > len(takes) > 20
+
+
 class TestPhase1Probe:
     def test_all_recovered_probe_fails_after_t1(self):
         ps = blobs([(0.0, 0.0)], [200], 0.1)
@@ -1256,6 +1286,13 @@ class TestDrawCap:
         draws = full[0]["samples_total"]
         for cap in (draws, draws + 1, draws + 4096, 2 * draws):
             assert run(cap) == full, cap
+
+    def test_negative_cap_is_an_error(self):
+        # A run makes no draw at a negative cap, so it could only end on
+        # "draw_cap" with samples_total 0 > draw_cap.
+        with pytest.raises(ValueError, match="draw_cap must be >= 0, got -5"):
+            RecoveryConfig(draw_cap=-5)
+        assert RecoveryConfig(draw_cap=0).draw_cap == 0
 
 
 class TestReuseModes:

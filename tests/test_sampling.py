@@ -787,7 +787,8 @@ class TestRejSampPin:
     existed; the branch counts show which paths each pass took.
     """
 
-    # name, W, T, draw_cap, budget, preaccepted
+    # name, W, T, draw_cap, budget, carried pool (its quota is T less the
+    # pool, and the pool heads the accepted list)
     PASSES = [
         ("counts", [2, 3], 4000, 10**8, None, None),
         ("cap", [2, 3, 4], 10**5, 2 * 10**6, None, None),
@@ -862,8 +863,11 @@ class TestRejSampPin:
             log.clear()
             refs = {j: reference_point(np.flatnonzero(labels == j)[:50], st) for j in W}
             try:
-                acc, draws, queries = rej_samp(st, session, W, refs, T, 1.0, rng=rng,
-                                               reps=reps, draw_cap=cap, preaccepted=pre)
+                pre = pre or {}
+                quota = {j: T - len(pre.get(j, [])) for j in W}
+                acc, draws, queries = rej_samp(st, session, W, refs, quota, 1.0, rng=rng,
+                                               reps=reps, draw_cap=cap)
+                acc = {j: pre.get(j, []) + v for j, v in acc.items()}
                 assert queries == session.ledger
                 sizes = {j: len(v) for j, v in acc.items()}
                 unmet = tuple(j for j in W if sizes[j] < T)
