@@ -55,6 +55,29 @@ class TestCompare:
         small = [b + 0.01 for b in base]
         assert pairs.compare(base, small, "higher", 0.25)["verdict"] == "within bound"
 
+    def test_gain_needs_ten_pairs(self):
+        base = [10.0, 10.5, 11.0, 10.2, 10.8, 10.4, 10.6, 10.1, 10.9]
+        up = [b + 2.0 for b in base]
+        s = pairs.compare(base, up, "higher", 0.25)
+        assert s["wins"] == {"change": 9, "base": 0, "ties": 0}
+        assert s["verdict"] == "within bound"
+        s = pairs.compare(base + [10.3], up + [12.3], "higher", 0.25)
+        assert s["verdict"] == "gain"
+
+    def test_unresolved_unless_every_change_run_is_better(self):
+        # A base IQR of 8 on a median of 18 is wider than the 25% bound.
+        base = [10.0, 14.0, 18.0, 22.0, 26.0]
+        overlap = [20.0, 24.0, 28.0, 30.0, 32.0]
+        assert pairs.compare(base, overlap, "higher", 0.25)["verdict"] == "unresolved"
+        above = [27.0, 28.0, 29.0, 30.0, 31.0]
+        assert pairs.compare(base, above, "higher", 0.25)["verdict"] == "within bound"
+        below = [5.0, 6.0, 7.0, 8.0, 9.0]
+        assert pairs.compare(base, below, "lower", 0.25)["verdict"] == "within bound"
+        # Equal to the best base run is not better than every base run.
+        assert pairs.compare(base, below[:4] + [10.0], "lower", 0.25)["verdict"] \
+            == "unresolved"
+        assert pairs.compare(base, below, "higher", 0.25)["verdict"] == "unresolved"
+
     def test_worse_than_bound(self):
         s = pairs.compare([10.0, 10.0, 10.0], [12.0, 12.0, 12.0], "lower", 0.15)
         assert s["wins"] == {"change": 0, "base": 3, "ties": 0}

@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Paired alternating benchmark runs of a base commit and the working tree.
 
-    python3 tools/pairs.py --base REF --workload W [--pairs 10] [--seconds 30] [--held-out]
+    python3 tools/pairs.py --base REF --workload W [--pairs 10] [--held-out]
 
-Run from anywhere inside the repository. REF is checked out as a detached
-git worktree under tools/out/ (removed again at the end); the change side
-is the working tree. Each pair runs both trees' own
-`perfbench/run.py --trace 0`, the base first on odd pairs and the change
-first on even ones, so that drift of the machine falls on both sides
-alike (Kalibera and Jones, "Rigorous Benchmarking in Reasonable Time",
-ISMM 2013). Of each run it keeps the last JSON line, the `fingerprints:`
-line and the CPU seconds of the child processes.
+Run from anywhere inside the repository. Both sides run from detached
+git worktrees under tools/out/ (removed again at the end), so that
+neither side gains from where its files lie: REF on the base side, and
+on the change side HEAD, or, when the files a run reads (src/,
+perfbench/, tests/data/, BENCHMARK.json) differ from HEAD, the
+`git stash create` snapshot of the tracked files (untracked files are
+not in it; `git add` them first). Each pair runs both trees' own
+`perfbench/run.py --trace 0` for BENCHMARK.json's `run_seconds`, the
+base first on odd pairs and the change first on even ones, so that
+drift of the machine falls on both sides alike (Kalibera and Jones,
+"Rigorous Benchmarking in Reasonable Time", ISMM 2013). Of each run it
+keeps the last JSON line, the `fingerprints:` line and the CPU seconds
+of the child processes.
 
 One entry is appended to BENCH_<W>.json at the repository root: both
-commits, whether the files a run reads (src/, perfbench/,
-BENCHMARK.json) differ from HEAD, every pair's values and, per metric,
-each side's median and quartiles, the pairs each side won (by the
-metric's `better` in BENCHMARK.json; ties count for neither), the median
-difference and the base's interquartile range. Exits 1 when a run is not
-"correct" (the entry is still written, up to that pair).
+commits, whether the change side is a snapshot of a dirty tree, every
+pair's values and, per metric, each side's median and quartiles, the
+pairs each side won (by the metric's `better` in BENCHMARK.json; ties
+count for neither), the median difference and the base's interquartile
+range. Exits 1 when a run is not "correct" (the entry is still written,
+up to that pair).
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tools" / "out"
 CPU = {"name": "cpu_s", "unit": "s", "better": "lower", "bound": None}
+RUN_INPUTS = ("src", "perfbench", "tests/data", "BENCHMARK.json")
+MIN_GAIN_PAIRS = 10
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -54,12 +61,13 @@ def compare(base: list[float], change: list[float], better: str,
 
     A pair is won by the side whose value is better ("higher" or "lower");
     equal values are a tie. The verdict is "equal" when every pair ties;
-    "gain" when the change wins at least nine tenths of the pairs and its
-    median is better by more than the base's interquartile range;
-    otherwise, given a relative bound, "unresolved" when that range
-    exceeds the bound times the base median, "worse than bound" when the
-    change's median is worse by more than the bound, and "within bound".
-    Without a bound the verdict is "no bound".
+    "gain" when at least MIN_GAIN_PAIRS pairs ran, the change won at
+    least nine tenths of them and its median is better by more than the
+    base's interquartile range; otherwise, given a relative bound,
+    "unresolved" when that range exceeds the bound times the base median
+    and some base run reads at least as well as some change run, "worse
+    than bound" when the change's median is worse by more than the
+    bound, and "within bound". Without a bound the verdict is "no bound".
     """
     if len(base) != len(change) or not base:
         raise ValueError("compare needs equal, non-empty lists")
@@ -71,13 +79,14 @@ def compare(base: list[float], change: list[float], better: str,
     cq1, cmed, cq3 = quartiles(change)
     iqr = bq3 - bq1
     gained = sign * (cmed - bmed)             # > 0: the change's median is better
+    every_run_better = min(sign * c for c in change) > max(sign * b for b in base)
     if wins["ties"] == len(base):
         verdict = "equal"
-    elif 10 * wins["change"] >= 9 * len(base) and gained > iqr:
+    elif len(base) >= MIN_GAIN_PAIRS and 10 * wins["change"] >= 9 * len(base) and gained > iqr:
         verdict = "gain"
     elif bound is None:
         verdict = "no bound"
-    elif iqr > bound * abs(bmed):
+    elif iqr > bound * abs(bmed) and not every_run_better:
         verdict = "unresolved"
     elif -gained > bound * abs(bmed):
         verdict = "worse than bound"
@@ -132,8 +141,8 @@ def _run(tree: Path, workload: str, seconds: float, held_out: bool) -> dict:
     }
 
 
-def _add_worktree(commit: str) -> Path:
-    path = OUT / commit[:12]
+def _add_worktree(side: str, commit: str) -> Path:
+    path = OUT / side
     if path.exists():
         subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
                        capture_output=True)
@@ -149,7 +158,6 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git ref of the base side")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--held-out", action="store_true")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -158,21 +166,23 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"] + [CPU]
     base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     head = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json"))
-    tree = _add_worktree(base)
-    pairs, correct = [], True
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", *RUN_INPUTS))
+    change = _git("stash", "create") if dirty else head
+    trees, pairs, correct = {}, [], True
     try:
+        for side, commit in (("base", base), ("change", change)):
+            trees[side] = _add_worktree(side, commit)
         # Compile both trees first: a fresh worktree would otherwise pay
         # for it in its first run's set-up time.
-        for t in (tree, ROOT):
+        for t in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=t, check=True, capture_output=True)
         for i in range(1, args.pairs + 1):
             order = ("base", "change") if i % 2 else ("change", "base")
             pair = {"pair": i, "first": order[0]}
             for side in order:
-                pair[side] = _run(tree if side == "base" else ROOT, args.workload,
-                                  args.seconds, args.held_out)
+                pair[side] = _run(trees[side], args.workload, spec["run_seconds"],
+                                  args.held_out)
                 print(f"pair {i} {side}: correct={pair[side]['correct']} "
                       f"{pair[side]['fingerprints']}", file=sys.stderr, flush=True)
             pairs.append(pair)
@@ -180,12 +190,13 @@ def main(argv=None) -> int:
                 correct = False
                 break
     finally:
-        _git("worktree", "remove", "--force", str(tree))
+        for t in trees.values():
+            _git("worktree", "remove", "--force", str(t))
     entry = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "workload": args.workload, "held_out": args.held_out, "seconds": args.seconds,
+        "workload": args.workload, "held_out": args.held_out, "seconds": spec["run_seconds"],
         "base": {"ref": args.base, "commit": base},
-        "change": {"commit": head, "dirty": dirty},
+        "change": {"commit": change, "head": head, "dirty": dirty},
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "correct": correct,
