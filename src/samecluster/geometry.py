@@ -37,7 +37,7 @@ class PointSet:
     labels: np.ndarray | None = None
     # (labels, stable argsort of labels, label start offsets), built on first use.
     _by_label: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (points, labels, {label: (mean, cost about the mean)}), filled on use.
+    # (points, labels, (sizes, means, costs) indexed by label), built on first use.
     _truth: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,18 +79,21 @@ class PointSet:
             return self.points[:0]
         return self.points[order[starts[int(label)]:starts[int(label) + 1]]]
 
-    def cluster_truth(self, label: int) -> tuple[np.ndarray, float]:
-        """(mean, cost about the mean) of the points labelled `label`, as
-        centroid_error computes them; kept while the points and labels
-        arrays are the same objects."""
+    def truth_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sizes, means, costs about the means) of the true clusters, indexed
+        by label (size 0 where a label has no points); built one cluster at
+        a time and kept while the points and labels arrays are the same
+        objects."""
         if self._truth is None or self._truth[0] is not self.points \
                 or self._truth[1] is not self.labels:
-            self._truth = (self.points, self.labels, {})
-        cache = self._truth[2]
-        label = int(label)
-        if label not in cache:
-            cache[label] = _mean_and_cost(self.cluster_points(label))
-        return cache[label]
+            means = np.zeros((self.n_clusters + 1, self.dim))
+            sizes, costs = np.bincount(self.labels), np.zeros(len(means))
+            for lab in np.flatnonzero(sizes):
+                pts = self.cluster_points(lab)
+                means[lab] = mu = pts.mean(axis=0)
+                costs[lab] = np.sum((pts - mu) ** 2)
+            self._truth = (self.points, self.labels, (sizes, means, costs))
+        return self._truth[2]
 
     def true_centroids(self) -> "CenterSet":
         """Centroid of each ground-truth cluster, keyed by label."""
@@ -172,24 +175,24 @@ def centroid(X) -> np.ndarray:
     return pts.mean(axis=0)
 
 
-def _mean_and_cost(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """(mu, cost(X, mu)) of a point array: its centroid and the cost about it."""
-    mu = centroid(pts)
-    return mu, float(np.sum((pts - mu) ** 2))
-
-
-def centroid_error(cluster_points, mu_hat, truth=None) -> float:
-    """Relative excess cost of an approximate centroid over the true one.
-
-    (cost(X, mu_hat) - cost(X, mu)) / cost(X, mu).  A degenerate cluster
-    (all points identical) reports 0.0 for an exact center and +inf
-    otherwise. `truth`, if given, is (mu, cost(X, mu)) for these points,
-    as PointSet.cluster_truth keeps it.
-    """
-    pts = _point_array(cluster_points)
-    _, base = _mean_and_cost(pts) if truth is None else truth
-    mu_hat = np.asarray(mu_hat, dtype=np.float64).ravel()
-    approx = float(np.sum((pts - mu_hat) ** 2))
+def centroid_error(X, mu_hat, label=None) -> float:
+    """Relative excess cost (cost(X, mu_hat) - cost(X, mu)) / cost(X, mu) of an
+    approximate centroid, in closed form: |X| ||mu_hat - mu||^2 / cost(X, mu)
+    by the parallel-axis identity. X holds the cluster's points; with
+    `label`, X is a PointSet and the cluster's row comes from its
+    truth_table(). A degenerate cluster (cost 0 about its mean) reports 0.0
+    for an exact center and +inf otherwise."""
+    if label is None:
+        pts = _point_array(X)
+        size, mu = len(pts), centroid(pts)
+        base = np.sum((pts - mu) ** 2)
+    else:
+        sizes, means, costs = X.truth_table()
+        if label not in range(len(sizes)) or sizes[label] == 0:
+            raise GeometryError(f"no points labelled {label}")
+        size, mu, base = sizes[label], means[label], costs[label]
+    diff = np.asarray(mu_hat, dtype=np.float64).ravel() - mu
+    excess = float(size * (diff @ diff))
     if base == 0.0:
-        return 0.0 if approx == 0.0 else float("inf")
-    return max(approx - base, 0.0) / base
+        return 0.0 if excess == 0.0 else float("inf")
+    return excess / float(base)

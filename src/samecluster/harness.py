@@ -314,7 +314,7 @@ def check_reducibility(X: PointSet, recovered_labels, eps: float):
     """Definition-style check: every left-out cluster must be covered by the
     recovered clusters' true centroids at cost <= eps times their own cost.
 
-    Labels are the point set's ids 1..K, at least one of them, and eps is
+    Labels are ids 1..K that have points, at least one of them, and eps is
     finite and positive. Returns (passes, worst ratio, offending label or
     None); the ratio is inf where the recovered clusters cost 0 and a
     left-out one does not."""
@@ -326,13 +326,12 @@ def check_reducibility(X: PointSet, recovered_labels, eps: float):
     if not recovered:
         raise ValueError("reducibility check needs at least one recovered label")
     all_labels = range(1, X.n_clusters + 1)
-    bad = [lab for lab in recovered if lab not in all_labels]
+    sizes, means, costs = X.truth_table()
+    bad = [lab for lab in recovered if lab not in all_labels or sizes[lab] == 0]
     if bad:
-        raise ValueError(f"labels {bad} outside 1..{X.n_clusters}")
-    centers = CenterSet({lab: X.cluster_points(lab).mean(axis=0)
-                         for lab in recovered})
-    base = sum(cost(X.cluster_points(lab), CenterSet({lab: centers[lab]}))
-               for lab in recovered)
+        raise ValueError(f"labels {bad} outside 1..{X.n_clusters} or without points")
+    centers = CenterSet({lab: means[lab] for lab in recovered})
+    base = float(costs[recovered].sum())
     worst_ratio = 0.0
     offender = None
     for lab in all_labels:

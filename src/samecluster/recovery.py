@@ -403,9 +403,7 @@ class RunState:
                                     return_counts=True)
                 lab = int(labs[np.argmax(n)])
                 res.truth_labels[cid] = lab
-                res.per_cluster_errors[cid] = centroid_error(
-                    self.X.cluster_points(lab), self.centers[cid],
-                    truth=self.X.cluster_truth(lab))
+                res.per_cluster_errors[cid] = centroid_error(self.X, self.centers[cid], lab)
         return res
 
 

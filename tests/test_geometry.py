@@ -99,6 +99,65 @@ class TestCentroidError:
         for _ in range(50):
             assert centroid_error(pts, rng.normal(size=3)) >= 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_closed_form_equals_two_pass(self, seed):
+        # (cost(X, mu_hat) - cost(X, mu)) / cost(X, mu), each cost summed
+        # over the points, on clusters of 2-500 points in 1-12 dimensions
+        # at coordinate scales 1e-3 to 1e6. The difference of the two sums
+        # loses relative accuracy as the excess shrinks against the cost,
+        # so mu_hat lies 0.1 to 10 root-mean-square radii from mu (an
+        # excess of 1% to 100x the cost).
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 501)), int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-3, 6)
+            pts = (rng.normal(size=(n, d)) + 5.0 * rng.normal(size=d)) * scale
+            mu = centroid(pts)
+            base = cost(pts, [mu])
+            for step in 10.0 ** rng.uniform(-1, 1, size=3):
+                u = rng.normal(size=d)
+                mu_hat = mu + u / np.linalg.norm(u) * step * np.sqrt(base / n)
+                want = (cost(pts, [mu_hat]) - base) / base
+                assert centroid_error(pts, mu_hat) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_degenerate_clusters(self, seed):
+        # All points equal, at a point whose float mean is exact (one point,
+        # or dyadic coordinates), so the cost about the mean is 0.
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n, d = int(rng.integers(1, 501)), int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-3, 6)
+            if n == 1:
+                x = rng.normal(size=d) * scale
+            else:
+                x = rng.integers(-64, 65, size=d) * 2.0 ** np.round(np.log2(scale))
+            pts = np.tile(x, (n, 1))
+            assert cost(pts, [centroid(pts)]) == 0.0
+            assert centroid_error(pts, x) == 0.0
+            off = x + rng.normal(size=d) * scale
+            assert math.isinf(centroid_error(pts, off))
+
+    def test_label_row_equals_the_points_form(self):
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            K = int(rng.integers(1, 9))
+            labels = rng.integers(1, K + 1, size=int(rng.integers(1, 600)))
+            d = int(rng.integers(1, 13))
+            ps = PointSet(rng.normal(size=(len(labels), d)) * 10.0 ** rng.uniform(-3, 6),
+                          labels=labels)
+            for lab in np.unique(labels):
+                for mu_hat in rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-3, 6):
+                    got = centroid_error(ps, mu_hat, lab)
+                    want = centroid_error(ps.cluster_points(lab), mu_hat)
+                    assert got == want
+
+    @pytest.mark.parametrize("label", [-1, 0, 2, 4, 2.5])
+    def test_label_without_points_is_an_error(self, label):
+        ps = PointSet([(0, 0), (1, 1), (5, 5), (6, 6)], labels=[1, 1, 3, 3])
+        with pytest.raises(GeometryError, match="no points"):
+            centroid_error(ps, (9, 9), label)
+
 
 class TestPointSet:
     def test_labels_validated(self):
@@ -132,25 +191,40 @@ class TestPointSet:
         assert ps.cluster_points(5).shape == (0, 3)
         assert ps.cluster_points(1).tobytes() == ps.points[ps.labels == 1].tobytes()
 
-    def test_cluster_truth_is_kept_and_exact(self):
+    def test_truth_table_is_kept_and_exact(self):
         rng = np.random.default_rng(6)
-        ps = PointSet(rng.normal(size=(400, 3)) * 7.0, labels=rng.integers(1, 6, size=400))
-        for lab in range(1, 6):
-            truth = ps.cluster_truth(lab)
-            assert ps.cluster_truth(np.int64(lab)) is truth
-            for mu_hat in rng.normal(size=(4, 3)):
-                got = centroid_error(ps.cluster_points(lab), mu_hat, truth=truth)
-                assert got == centroid_error(ps.cluster_points(lab), mu_hat)
+        labels = rng.integers(1, 7, size=400)
+        labels[labels == 4] = 5                              # label 4 absent
+        ps = PointSet(rng.normal(size=(400, 3)) * 7.0, labels=labels)
 
-        def base(lab):
-            pts = ps.points[ps.labels == lab]
-            return float(np.sum((pts - pts.mean(axis=0)) ** 2))
+        def check(table):
+            sizes, means, costs = table
+            assert len(sizes) == len(means) == len(costs) == ps.n_clusters + 1
+            for lab in range(ps.n_clusters + 1):
+                pts = ps.points[ps.labels == lab]
+                assert sizes[lab] == len(pts)
+                if len(pts):
+                    mu = pts.mean(axis=0)
+                    assert means[lab].tobytes() == mu.tobytes()
+                    assert costs[lab] == np.sum((pts - mu) ** 2)
 
-        old = ps.cluster_truth(1)[1]
+        table = ps.truth_table()
+        check(table)
+        centroid_error(ps, np.ones(3), 1)
+        assert ps.truth_table() is table
+
+        old = table[2][1]
         ps.labels = np.where(ps.labels == 2, 1, ps.labels)   # new labels array
-        assert ps.cluster_truth(1)[1] == base(1) != old
+        relabelled = ps.truth_table()
+        assert relabelled is not table and relabelled[2][1] != old
+        check(relabelled)
         ps.points = ps.points * 2.0                          # new points array
-        assert ps.cluster_truth(1)[1] == base(1)
+        assert ps.truth_table() is not relabelled
+        check(ps.truth_table())
+
+    def test_truth_table_needs_labels(self):
+        with pytest.raises(GeometryError):
+            PointSet(np.zeros((2, 2))).truth_table()
 
     def test_cluster_points_need_labels(self):
         with pytest.raises(GeometryError):

@@ -265,6 +265,14 @@ class TestCheckReducibility:
         with pytest.raises(ValueError, match="outside 1..2"):
             check_reducibility(ps, [1, label], 0.5)
 
+    def test_label_without_points_is_rejected(self):
+        # Label 2 has no points: its center would be the NaN mean of an
+        # empty slice, and every covering ratio NaN.
+        ps = PointSet([(0, 0), (1, 1), (5, 5), (6, 6)], labels=[1, 1, 3, 3])
+        with pytest.raises(ValueError, match="outside 1..3"):
+            check_reducibility(ps, [1, 2], 0.5)
+        assert check_reducibility(ps, [1], 0.5) == (False, 202.0, 3)
+
     @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
     def test_eps_must_be_finite_and_positive(self, eps):
         ps = PointSet(np.arange(8.0).reshape(4, 2), labels=np.array([1, 1, 2, 2]))
