@@ -81,17 +81,16 @@ class PointSet:
 
     def truth_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sizes, means, costs about the means) of the true clusters, indexed
-        by label (size 0 where a label has no points); built one cluster at
-        a time and kept while the points and labels arrays are the same
+        by label (size 0 where a label has no points; a cluster of equal
+        points has that point as its mean and cost 0); built one cluster
+        at a time and kept while the points and labels arrays are the same
         objects."""
         if self._truth is None or self._truth[0] is not self.points \
                 or self._truth[1] is not self.labels:
             means = np.zeros((self.n_clusters + 1, self.dim))
             sizes, costs = np.bincount(self.labels), np.zeros(len(means))
             for lab in np.flatnonzero(sizes):
-                pts = self.cluster_points(lab)
-                means[lab] = mu = pts.mean(axis=0)
-                costs[lab] = np.sum((pts - mu) ** 2)
+                means[lab], costs[lab] = _truth_row(self.cluster_points(lab))
             self._truth = (self.points, self.labels, (sizes, means, costs))
         return self._truth[2]
 
@@ -175,17 +174,27 @@ def centroid(X) -> np.ndarray:
     return pts.mean(axis=0)
 
 
+def _truth_row(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """(mean, cost about the mean) of a non-empty cluster's points. Points
+    that are all equal give that point and cost 0, since their float mean
+    need not round back to it."""
+    mu = centroid(pts)
+    if (pts == pts[0]).all():
+        return pts[0], 0.0
+    return mu, np.sum((pts - mu) ** 2)
+
+
 def centroid_error(X, mu_hat, label=None) -> float:
     """Relative excess cost (cost(X, mu_hat) - cost(X, mu)) / cost(X, mu) of an
     approximate centroid, in closed form: |X| ||mu_hat - mu||^2 / cost(X, mu)
     by the parallel-axis identity. X holds the cluster's points; with
     `label`, X is a PointSet and the cluster's row comes from its
-    truth_table(). A degenerate cluster (cost 0 about its mean) reports 0.0
-    for an exact center and +inf otherwise."""
+    truth_table(). A degenerate cluster (cost 0 about its mean, as when its
+    points are all equal) reports 0.0 for an exact center and +inf
+    otherwise."""
     if label is None:
         pts = _point_array(X)
-        size, mu = len(pts), centroid(pts)
-        base = np.sum((pts - mu) ** 2)
+        size, (mu, base) = len(pts), _truth_row(pts)
     else:
         sizes, means, costs = X.truth_table()
         if label not in range(len(sizes)) or sizes[label] == 0:

@@ -32,7 +32,8 @@ from .geometry import PointSet, centroid_error
 from .oracle import BudgetExhausted, OracleSession, Representatives
 from .sampling import FullyCovered, SamplerState
 
-_FILL_BATCH = 1 << 21
+_FILL_BATCH = 1 << 21   # draws per counts chunk of draw_classified_fill
+_FILL_PIECE = 1 << 16   # least draws per draw-ordered piece of a fill
 _PHASE_CHUNK = 1 << 13
 
 
@@ -280,22 +281,34 @@ class RunState:
         chunk is taken as counts (sampling.counts_chunk), since the draw
         order does not change counts, ledger sums or owners. A chunk that
         holds an undiscovered cluster, and every chunk of a budgeted run,
-        is drawn again in order (d2_sample_batch, peek_classify,
-        commit_peeked), so that registrations and per-draw costs, and the
-        draw where the budget runs out, are those of a draw-at-a-time run.
+        is drawn again in order, so that registrations and per-draw costs,
+        and the draw where the budget runs out, are those of a
+        draw-at-a-time run. That re-draw goes in pieces of
+        max(_FILL_PIECE, n_points) draws, each drawn (d2_sample_batch),
+        peeked (peek_classify) and committed (commit_peeked) before the
+        next, so that its arrays stay in cache; a piece of at least
+        n_points keeps _d2_index's guide table and the point -> rank
+        table, which are built only for a call that large. The generator
+        gives the same values in consecutive calls as in one, so the
+        pieces draw what the whole chunk would. Only a fill that
+        BudgetExhausted stops leaves the generator elsewhere, after its
+        current piece, and nothing reads it after that stop.
         If n would pass the draw cap, only the draws up to the cap are
         made, then _DrawCap is raised.
         """
         fits = remaining = self.room(n)
         session = self.session
+        piece = max(_FILL_PIECE, self.sampler.n_points)
         while remaining > 0:
             b = int(min(remaining, _FILL_BATCH))
             got = (_sampling.counts_chunk(self.sampler, session, self.reps, self.rng, b)
                    if session.budget is None else None)
             if got is None:
-                idx = _sampling.d2_sample_batch(self.sampler, self.rng, b)
-                cl, costs, new_firsts = _oracle.peek_classify(session, idx, self.reps)
-                self.commit_peeked(idx, cl, costs, new_firsts, b)
+                for start in range(0, b, piece):
+                    m = min(piece, b - start)
+                    idx = _sampling.d2_sample_batch(self.sampler, self.rng, m)
+                    cl, costs, new_firsts = _oracle.peek_classify(session, idx, self.reps)
+                    self.commit_peeked(idx, cl, costs, new_firsts, m)
             else:
                 points, clusters, mult = got
                 session.charge(int((mult * clusters).sum()))

@@ -54,7 +54,10 @@ class SamplerState:
         n = len(self.points)
         if n == 0:
             raise GeometryError("sampler needs a non-empty point set")
-        if not np.isfinite(self.points).all():
+        # Finite exactly when the max and the min are (each is NaN if any
+        # point is); each is tested apart, as max(nan, x) is not max(x, nan).
+        hi, lo = self.points.max(initial=0.0), self.points.min(initial=0.0)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
             raise GeometryError("sampler points contain non-finite coordinates")
         self._weights = np.ones(n, dtype=np.float64)
         self._total = float(n)
@@ -66,7 +69,7 @@ class SamplerState:
         # _apply_center's screen. _scale is the power of two s that puts the
         # largest |x_i s| in [1/2, 1), or 0.0 where the screen is not used
         # (d above _SCREEN_MAX_DIM, or s outside [2^-500, 2^500]).
-        top = max(self.points.max(initial=0.0), -self.points.min(initial=0.0))
+        top = max(hi, -lo)
         e = int(np.frexp(top)[1])
         self._scale = (2.0 ** -e if -500 <= e <= 500
                        and self.points.shape[1] <= _SCREEN_MAX_DIM else 0.0)

@@ -138,6 +138,36 @@ class TestCentroidError:
             off = x + rng.normal(size=d) * scale
             assert math.isinf(centroid_error(pts, off))
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_equal_points_whose_mean_is_inexact(self, labelled):
+        # The float mean of three points at 0.1 is not 0.1, yet the cluster
+        # has cost 0 about its mean: 0.0 at the point, +inf elsewhere.
+        X = [[0.1], [0.1], [0.1]]
+        assert np.mean(X) != 0.1
+        label = 1 if labelled else None
+        if labelled:
+            X = PointSet(X, labels=[1, 1, 1])
+            sizes, means, costs = X.truth_table()
+            assert (sizes[1], means[1].tolist(), costs[1]) == (3, [0.1], 0.0)
+        assert centroid_error(X, [0.1], label) == 0.0
+        assert centroid_error(X, [5.0], label) == float("inf")
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equal_points_in_both_paths(self, seed):
+        # Any point, repeated 1-500 times in 1-12 dimensions.
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n, d = int(rng.integers(1, 501)), int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-3, 6)
+            x = rng.normal(size=d) * scale
+            ps = PointSet(np.vstack([np.tile(x, (n, 1)), rng.normal(size=(7, d))]),
+                          labels=[1] * n + [2] * 7)
+            assert ps.truth_table()[1][1].tobytes() == x.tobytes()
+            off = x + rng.normal(size=d) * scale
+            for X, label in ((ps.cluster_points(1), None), (ps, 1)):
+                assert centroid_error(X, x, label) == 0.0
+                assert math.isinf(centroid_error(X, off, label))
+
     def test_label_row_equals_the_points_form(self):
         rng = np.random.default_rng(8)
         for _ in range(4):

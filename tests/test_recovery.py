@@ -1452,3 +1452,144 @@ class TestSampleRecord:
             full = spied_run(cfg, None)
             assert full.stop_reason == "target"
             assert spied_run(cfg, full.queries_total // 2).stop_reason == "budget"
+
+
+def fill_reference(run: RunState, n: int, trace: list | None = None):
+    """RunState.draw_classified_fill of n <= _FILL_BATCH draws, one draw at
+    a time: each D2 draw is classified by the Classify rule (the rank of
+    its label's discovery, or L queries for a new label), charged through
+    session.charge, registered if new and ingested. Without a budget the
+    fill first draws the chunk's counts; this reference covers only a chunk
+    that they drop for an undiscovered label. trace, if given, gets the
+    ledger after each draw."""
+    session, reps = run.session, run.reps
+    if session.budget is None:
+        assert sampling.counts_chunk(run.sampler, session, reps, run.rng, n) is None
+    for _ in range(n):
+        x = int(sampling.d2_sample_batch(run.sampler, run.rng, 1)[0])
+        L = reps.discovered_count
+        cid = next((i for i in range(1, L + 1)
+                    if session.truth[reps.rep_point(i)] == session.truth[x]), 0)
+        session.charge(cid or L)
+        if not cid:
+            cid = reps.add_cluster(x)
+        run.ingest(np.array([x]), np.array([cid]))
+        if trace is not None:
+            trace.append(session.ledger)
+
+
+def _fill_run(ps: PointSet, centers: bool, budget) -> RunState:
+    """A run with labels 3 and 1 discovered, so every draw costs at least
+    one query, and the other labels still to find; with centers, two of
+    the true means are D2 centers."""
+    run = RunState(ps, OracleSession(ps.labels, budget=budget),
+                   RecoveryConfig(eps=0.5, seed=8))
+    for lab in (3, 1):
+        run.reps.add_cluster(int(np.flatnonzero(ps.labels == lab)[0]))
+    if centers:
+        for lab in (1, 2):
+            sampling.add_center(run.sampler, ps.cluster_points(lab).mean(axis=0))
+    return run
+
+
+def _fill_state(run: RunState) -> tuple:
+    return (run.session.ledger, run.draws, run.counts.tolist(), run.owner.tolist(),
+            run.reps.reps)
+
+
+def _filled(fill, run: RunState, n: int) -> str:
+    try:
+        fill(run, n)
+    except BudgetExhausted:
+        return "budget"
+    return "filled"
+
+
+class TestFillReference:
+    """draw_classified_fill, drawn, peeked and committed in pieces, leaves
+    the ledger, draws, counts, owners and registrations of fill_reference
+    and stops at the same draw, with and without centers."""
+
+    N = 3000
+    PIECE = 512
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        """The sizes of the fill's d2_sample_batch calls."""
+        sizes = []
+        draw = sampling.d2_sample_batch
+
+        def spy(state, rng, size):
+            sizes.append(size)
+            return draw(state, rng, size)
+
+        monkeypatch.setattr(recovery._sampling, "d2_sample_batch", spy)
+        return sizes
+
+    @staticmethod
+    def small():
+        return blobs([(0, 0), (6, 0), (0, 6), (6, 6), (3, 12), (12, 3)],
+                     (150, 100, 80, 50, 15, 5), 0.5, seed=4)
+
+    @pytest.mark.parametrize("centers", [False, True])
+    @pytest.mark.parametrize("stop", ["first", "piece_end", "next_piece", "mid", "last",
+                                      "never"])
+    def test_budget_stops_at_the_reference_draw(self, centers, stop, monkeypatch, pieces):
+        monkeypatch.setattr(recovery, "_FILL_PIECE", self.PIECE)
+        ps = self.small()
+        assert len(ps) < self.PIECE
+        trace = []
+        fill_reference(_fill_run(ps, centers, 10**12), self.N, trace)
+        i = {"first": 1, "piece_end": self.PIECE, "next_piece": self.PIECE + 1,
+             "mid": 1700, "last": self.N, "never": None}[stop]
+        # The budget binds at draw i: the ledger after draw i passes it,
+        # the ledger before it does not.
+        budget = trace[-1] if i is None else trace[i - 1] - 1
+        assert i is None or budget >= ([0] + trace)[i - 1]
+        run, ref = _fill_run(ps, centers, budget), _fill_run(ps, centers, budget)
+        pieces.clear()
+        got = _filled(RunState.draw_classified_fill, run, self.N)
+        sizes = list(pieces)
+        want = _filled(fill_reference, ref, self.N)
+        assert got == want == ("filled" if i is None else "budget")
+        assert _fill_state(run) == _fill_state(ref)
+        assert run.draws == (self.N if i is None else i - 1)
+        # Pieces of PIECE draws and a shorter last one, up to the piece
+        # that holds draw i.
+        full = [self.PIECE] * (self.N // self.PIECE) + [self.N % self.PIECE]
+        assert sizes == (full if i is None else full[:-(-i // self.PIECE)])
+        if i is None:
+            assert run.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("centers", [False, True])
+    def test_dropped_counts_chunk(self, centers, monkeypatch, pieces):
+        # Unbudgeted, the chunk's counts meet an undiscovered label, so the
+        # chunk is drawn again in order; the generator ends where the
+        # reference's does.
+        monkeypatch.setattr(recovery, "_FILL_PIECE", self.PIECE)
+        ps = self.small()
+        run, ref = _fill_run(ps, centers, None), _fill_run(ps, centers, None)
+        run.draw_classified_fill(self.N)
+        assert len(pieces) == -(-self.N // self.PIECE)
+        fill_reference(ref, self.N)
+        assert _fill_state(run) == _fill_state(ref)
+        assert run.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert run.reps.discovered_count == 6
+
+    @pytest.mark.parametrize("centers", [False, True])
+    def test_piece_of_n_points(self, centers, pieces):
+        # Above _FILL_PIECE points a piece is n draws. The budget binds at
+        # the first draw of the second piece.
+        n = recovery._FILL_PIECE + 1000
+        ps = blobs([(0, 0), (6, 0), (0, 6), (6, 6)], (n - 1010, 900, 100, 10), 0.5, seed=5)
+        probe = _fill_run(ps, centers, 10**12)
+        probe.draw_classified_fill(n + 1)
+        assert pieces == [n, 1]
+        budget = probe.session.ledger - 1
+        run, ref = _fill_run(ps, centers, budget), _fill_run(ps, centers, budget)
+        pieces.clear()
+        assert _filled(RunState.draw_classified_fill, run, n + 300) == "budget"
+        assert pieces == [n, 300]
+        assert _filled(fill_reference, ref, n + 300) == "budget"
+        assert _fill_state(run) == _fill_state(ref)
+        assert run.draws == n
