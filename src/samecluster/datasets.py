@@ -73,14 +73,16 @@ def load(spec: DatasetSpec):
         except ValueError as e:
             raise DatasetError(f"{path}:{lineno}: unparseable numeric value ({e})")
         raw_labels.append(row[label_idx])
-    # A nan or inf would make its column's std NaN, and the column would
-    # be dropped below as if it were constant.
+    # A nan or inf would make its column's max or min NaN, and the column
+    # would be dropped below as if it were constant.
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         i, j = bad[0]
         raise DatasetError(f"{path}:{linenos[i]}: non-finite numeric value ({features[i, j]})")
 
-    keep = features.std(axis=0) > 0.0
+    # Constant means max == min: a constant column's std can be a rounding
+    # error above 0, as the float mean of 0.1s need not be 0.1.
+    keep = features.max(axis=0) > features.min(axis=0)
     if not keep.any():
         raise DatasetError(f"{path}: every feature column is constant")
     features = features[:, keep]

@@ -180,9 +180,11 @@ class Representatives:
     def __init__(self):
         self.reps: dict[int, list[int]] = {}
         # Exact-oracle lookups, truth label or point -> discovered index
-        # (0 = unseen), dropped at each discovery and built again on demand.
+        # (0 = unseen), and the unseen points; dropped at each discovery
+        # and built again on demand.
         self._rank_of_label: np.ndarray | None = None
         self._rank_of_point: np.ndarray | None = None
+        self._undiscovered: np.ndarray | None = None
 
     @property
     def discovered_count(self) -> int:
@@ -198,7 +200,7 @@ class Representatives:
         """Register the next cluster, L+1, with members (first, *rest)."""
         idx = len(self.reps) + 1
         self.reps[idx] = [int(first), *map(int, rest)]
-        self._rank_of_label = self._rank_of_point = None
+        self._rank_of_label = self._rank_of_point = self._undiscovered = None
         return idx
 
     def rank_of_label(self, session: OracleSession) -> np.ndarray:
@@ -217,6 +219,13 @@ class Representatives:
         if self._rank_of_point is None:
             self._rank_of_point = self.rank_of_label(session)[session.truth]
         return self._rank_of_point
+
+    def undiscovered(self, session: OracleSession) -> np.ndarray:
+        """Exact oracle: the points of undiscovered clusters (rank 0), in
+        index order, rebuilt on growth."""
+        if self._undiscovered is None:
+            self._undiscovered = np.flatnonzero(self.rank_of_point(session) == 0)
+        return self._undiscovered
 
     def ranks(self, session: OracleSession, xs: np.ndarray) -> np.ndarray:
         """Exact oracle: the discovered index of each point of xs, 0 if unseen.

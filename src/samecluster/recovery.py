@@ -278,10 +278,13 @@ class RunState:
         """Draw n D2-samples, classify in discovery order, commit exactly.
 
         The draws come in chunks of up to _FILL_BATCH. Without a budget, a
-        chunk is taken as counts (sampling.counts_chunk), since the draw
-        order does not change counts, ledger sums or owners. A chunk that
-        holds an undiscovered cluster, and every chunk of a budgeted run,
-        is drawn again in order, so that registrations and per-draw costs,
+        chunk is taken as a count vector (sampling.counts_chunk), since the
+        draw order does not change counts, ledger sums or owners: it costs
+        counts @ rank, rank being the representatives' point -> rank table
+        (kept until the next discovery, not rebuilt per chunk), and its
+        drawn points are ingested with their ranks. A chunk that counts an
+        undiscovered cluster, and every chunk of a budgeted run, is drawn
+        again in order, so that registrations and per-draw costs,
         and the draw where the budget runs out, are those of a
         draw-at-a-time run. That re-draw goes in pieces of
         max(_FILL_PIECE, n_points) draws, each drawn (d2_sample_batch),
@@ -301,18 +304,19 @@ class RunState:
         piece = max(_FILL_PIECE, self.sampler.n_points)
         while remaining > 0:
             b = int(min(remaining, _FILL_BATCH))
-            got = (_sampling.counts_chunk(self.sampler, session, self.reps, self.rng, b)
-                   if session.budget is None else None)
-            if got is None:
+            counts = (_sampling.counts_chunk(self.sampler, session, self.reps, self.rng, b)
+                      if session.budget is None else None)
+            if counts is None:
                 for start in range(0, b, piece):
                     m = min(piece, b - start)
                     idx = _sampling.d2_sample_batch(self.sampler, self.rng, m)
                     cl, costs, new_firsts = _oracle.peek_classify(session, idx, self.reps)
                     self.commit_peeked(idx, cl, costs, new_firsts, m)
             else:
-                points, clusters, mult = got
-                session.charge(int((mult * clusters).sum()))
-                self.ingest(points, clusters, mult)
+                rank = self.reps.rank_of_point(session)
+                session.charge(int(counts @ rank))
+                points = np.flatnonzero(counts)
+                self.ingest(points, rank[points], counts[points])
             remaining -= b
         if fits < n:
             raise _DrawCap()

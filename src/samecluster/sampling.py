@@ -43,10 +43,11 @@ class SamplerState:
     rejection walk draw uniform integers then instead).
 
     The centers add_center queues are pending until a full read: weights,
-    total and cumsum() first apply them in order (_flush), one screened
-    update each as the eager update made it, and then sum the total once,
-    so every weight and the total equal those of applying each center as
-    it came. weights_at(idx) reads points without applying the queue.
+    total, cumsum() and probs() first apply them in order (_flush), one
+    screened update each as the eager update made it, and then sum the
+    total once, so every weight and the total equal those of applying each
+    center as it came. weights_at(idx) reads points without applying the
+    queue.
     """
 
     def __init__(self, points: np.ndarray):
@@ -64,6 +65,7 @@ class SamplerState:
         self._pending: list[np.ndarray] = []    # centers added, not yet applied
         self.centers_version = 0
         self._cumsum: np.ndarray | None = None
+        self._probs: np.ndarray | None = None
         # (cumsum, guide table): the table of _d2_index for that prefix-sum array.
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
         # _apply_center's screen. _scale is the power of two s that puts the
@@ -96,11 +98,12 @@ class SamplerState:
     @weights.setter
     def weights(self, w) -> None:
         """Set the weights of the current center set by hand: the pending
-        centers are dropped, the total summed and the prefix sums dropped."""
+        centers are dropped, the total summed, and the prefix sums and
+        probs() dropped."""
         self._weights = np.asarray(w, dtype=np.float64)
         self._pending.clear()
         self._total = float(self._weights.sum())
-        self._cumsum = None
+        self._cumsum = self._probs = None
 
     @property
     def total(self) -> float:
@@ -114,6 +117,12 @@ class SamplerState:
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.weights)
         return self._cumsum
+
+    def probs(self) -> np.ndarray:
+        """The D2 law weight/total (a full read), kept until the next center."""
+        if self._probs is None:
+            self._probs = self.weights / self.total
+        return self._probs
 
     def weights_at(self, idx) -> np.ndarray:
         """weights[idx] without applying the pending centers to other points.
@@ -153,10 +162,10 @@ def add_center(state: SamplerState, center) -> SamplerState:
     """Add a center: each weight becomes min(weight, ||x - c||^2).
 
     The center is checked (dimension, finiteness) and copied at once, then
-    queued: centers_version counts it and the prefix sums are dropped. A
-    full read of the state (weights, total, cumsum(), and so
-    d2_sample_batch, counts_chunk and rej_samp) applies the queue first;
-    weights_at and reference_point read points through it.
+    queued: centers_version counts it, and the prefix sums and probs()
+    are dropped. A full read of the state (weights, total, cumsum(), and
+    so d2_sample_batch, counts_chunk and rej_samp) applies the queue
+    first; weights_at and reference_point read points through it.
     """
     c = np.array(center, dtype=np.float64).ravel()     # a copy: applied later
     if c.shape[0] != state.points.shape[1]:
@@ -167,7 +176,7 @@ def add_center(state: SamplerState, center) -> SamplerState:
         raise GeometryError("center contains non-finite coordinates")
     state._pending.append(c)
     state.centers_version += 1
-    state._cumsum = None
+    state._cumsum = state._probs = None
     return state
 
 
@@ -345,23 +354,24 @@ def _guide_table(cs: np.ndarray, top) -> np.ndarray:
 
 def counts_chunk(state: SamplerState, session: _oracle.OracleSession,
                  reps: _oracle.Representatives, rng: np.random.Generator, size: int):
-    """`size` D2 draws as counts, classified against `reps` (exact oracle).
+    """`size` D2 draws as counts over the points (exact oracle).
 
-    One rng.multinomial over weight/total, which is 1/n each before any
-    center. Returns (points, clusters, multiplicities) for the distinct
-    points drawn, in index order; the chunk costs
-    (multiplicities * clusters).sum() queries, charged by the caller.
-    Returns None when a drawn cluster is undiscovered, since its cost and
-    registration depend on the draw order.
+    One rng.multinomial over state.probs(), which is 1/n each before any
+    center. Returns the count vector, of length n in point order, or None
+    exactly when it counts a point whose cluster `reps` has not
+    discovered (reps.undiscovered), since such a chunk's cost and
+    registrations depend on the draw order. Every drawn point then
+    classifies as its rank, reps.rank_of_point(session), and the chunk
+    costs counts @ rank queries, charged by the caller. The law and both
+    point tables are kept until the next center or discovery, so a pass
+    of many chunks builds them once.
     """
     if state.total <= 0.0:
         raise FullyCovered("all points coincide with the current centers")
-    counts = rng.multinomial(size, state.weights / state.total)
-    points = np.flatnonzero(counts)
-    clusters, _, new_firsts = _oracle.peek_classify(session, points, reps)
-    if new_firsts:
+    counts = rng.multinomial(size, state.probs())
+    if counts[reps.undiscovered(session)].any():
         return None
-    return points, clusters, counts[points].astype(np.int64)
+    return counts
 
 
 def reference_point(sample_indices, state: SamplerState) -> int:
@@ -407,6 +417,12 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     stops exactly where a draw-at-a-time loop would. With centers and no
     budget it takes chunks of 2^22 draws from counts_chunk, with binomial
     acceptances, since far from the quotas the draw order does not matter.
+    A chunk is read through the pass's point tables (each point's rank,
+    and the points of W with their acceptance probabilities), which are
+    built when the pass starts and again after a discovery: it costs
+    counts @ rank, each point of W it counts c > 0 times is accepted
+    rng.binomial(c, p) times, and each pool gets its accepted points in
+    index order, repeats adjacent.
     A chunk with an undiscovered cluster is dropped for one draw-ordered
     batch; one that would fill every quota is retried a quarter the size,
     down to 8192 draws, so that a short draw-ordered tail places the stop;
@@ -451,39 +467,46 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
         p[w] = _accept_prob(scale, w_arr[cl[w]], state.weights[pts[w]])
         return p
 
-    # The pass's acceptance table, per point, for the L0 clusters discovered
-    # now; the weights do not change within a pass. A cluster of W that is
-    # still undiscovered gets an id above L0, so then the draws of clusters
-    # past L0 are looked up on their own.
-    L0 = reps.discovered_count
-    table = accept(np.arange(state.n_points), reps.rank_of_point(session))
+    # The pass's point tables: each point's rank and acceptance probability
+    # (-1 outside W), and the points of W in index order with their ranks
+    # and probabilities. The weights do not change within a pass, so they
+    # are built again only after a discovery. A cluster of W that is still
+    # undiscovered gets an id above L, so then the draws of clusters past L
+    # are looked up on their own.
+    L = None
 
     def accept_drawn(pts, cl):
         p = table[pts]
-        if max(W) > L0:
-            late = np.flatnonzero(cl > L0)
+        if max(W) > L:
+            late = np.flatnonzero(cl > L)
             p[late] = accept(pts[late], cl[late])
         return p
 
     while draws < draw_cap and any(v > 0 for v in need().values()):
         nd = need()
+        if L != reps.discovered_count:
+            L = reps.discovered_count
+            rank = reps.rank_of_point(session)
+            table = accept(np.arange(state.n_points), rank)
+            w_pts = np.flatnonzero(~(table < 0.0))  # p is NaN where an infinite weight meets W
+            w_cl, w_p = rank[w_pts], table[w_pts]
 
-        got = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
-        if got is not None:
-            pts, cl, mult = got
-            p = accept_drawn(pts, cl)
-            in_w = ~(p < 0.0)               # p is NaN where an infinite weight meets W
-            pts_w, cl_w = pts[in_w], cl[in_w]
-            acc = rng.binomial(mult[in_w], p[in_w])
+        counts = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
+        if counts is not None:
+            m = counts[w_pts]
+            nz = np.flatnonzero(m)
+            cl_w = w_cl[nz]
+            acc = rng.binomial(m[nz], w_p[nz])
             per_j = np.bincount(cl_w - 1, weights=acc, minlength=max(W))
             if all(per_j[j - 1] >= nd[j] for j in W):
                 chunk //= 4
                 continue
             if chunk <= draw_cap - draws:
-                session.charge(int((mult * cl).sum()))
-                nz = acc > 0
-                for x, j, c in zip(pts_w[nz], cl_w[nz], acc[nz]):
-                    accepted[int(j)].extend([int(x)] * int(c))
+                session.charge(int(counts @ rank))
+                x_w = w_pts[nz]
+                for j in W:
+                    mine = cl_w == j
+                    accepted[j].extend(np.repeat(x_w[mine], acc[mine]).tolist())
                 draws += chunk
                 acc_rate_guess = max(int(acc.sum()) / chunk, 1e-6)
                 continue

@@ -135,14 +135,17 @@ def generate(config: SynthConfig):
                     rng, config.d, config.rho)
     points = np.empty((config.n, config.d))
     labels = np.empty(config.n, dtype=np.int64)
+    true_centroids = {}
     at = 0
     for cid in range(1, config.K + 1):
         m = int(sizes[cid - 1])
-        points[at:at + m] = centers[cid - 1] + rng.normal(
-            scale=config.sigma, size=(m, config.d))
+        # In place, the bits of centers + rng.normal(scale=sigma): numpy's
+        # normal is loc + scale * z over the same standard normals z.
+        block = points[at:at + m]
+        rng.standard_normal(out=block)
+        block *= config.sigma
+        block += centers[cid - 1]
         labels[at:at + m] = cid
+        true_centroids[cid] = centroid(block)
         at += m
-    ps = PointSet(points, labels=labels)
-    true_centroids = {cid: centroid(ps.cluster_points(cid))
-                      for cid in range(1, config.K + 1)}
-    return ps, true_centroids
+    return PointSet(points, labels=labels), true_centroids

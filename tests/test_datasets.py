@@ -23,6 +23,17 @@ class TestLoad:
         ps, _ = load(DatasetSpec(p))
         assert ps.points.shape == (3, 1)
 
+    @pytest.mark.parametrize("n", [10, 1000, 12345])
+    def test_constant_column_with_inexact_mean_dropped(self, tmp_path, n):
+        # A column of 0.1 has a float mean that is not 0.1, hence a tiny
+        # std; it is still constant, and is dropped.
+        x = np.round(np.random.default_rng(n).normal(size=n), 6)
+        p = write(tmp_path, "".join(f"{v:.6f},0.1,{1 + i % 2}\n" for i, v in enumerate(x)))
+        ps, _ = load(DatasetSpec(p))
+        assert ps.points.shape == (n, 1)
+        np.testing.assert_allclose(ps.points[:, 0], (x - x.mean()) / x.std(),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_dense_label_ids_first_occurrence(self, tmp_path):
         p = write(tmp_path, "1.0,A\n2.0,B\n3.0,A\n")
         ps, mapping = load(DatasetSpec(p))

@@ -884,3 +884,141 @@ class TestRejSampPin:
             assert reps.discovered_count == 4
             assert self.branches(log) == self.BRANCHES[name]
             assert any(e[0] == "ordered" for e in log)
+
+
+class TestCountsChunk:
+    """counts_chunk returns the multinomial count vector over the points,
+    or None exactly when that vector counts a point of an undiscovered
+    cluster."""
+
+    @pytest.mark.parametrize("center, size", [(None, 70), (50.0, 24)],
+                             ids=["uniform", "centered"])
+    def test_none_iff_an_undiscovered_point_is_counted(self, center, size):
+        # 99 points of label 1 and an undiscovered singleton of label 2,
+        # which a chunk of `size` draws counts about half the time.
+        labels = np.r_[np.ones(99, dtype=np.int64), 2]
+        st = SamplerState(np.arange(100.0)[:, None])
+        if center is not None:
+            add_center(st, [center])
+        session = OracleSession(labels)
+        reps = Representatives()
+        reps.add_cluster(0)
+        hit = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            twin = copy.deepcopy(rng)
+            want = twin.multinomial(size, st.weights / st.total)
+            got = sampling.counts_chunk(st, session, reps, rng, size)
+            if want[99]:
+                assert got is None
+                hit.append(seed)
+            else:
+                assert got.tolist() == want.tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert 0 < len(hit) < 40
+        assert session.ledger == 0
+        # Once the singleton is discovered, the chunk that counted it is kept.
+        reps.add_cluster(99)
+        rng = np.random.default_rng(hit[0])
+        want = copy.deepcopy(rng).multinomial(size, st.weights / st.total)
+        assert sampling.counts_chunk(st, session, reps, rng, size).tolist() == want.tolist()
+
+
+class TestCountsPass:
+    """The counts chunks of the exact rejection pass, on _four_blobs with
+    one center: each kept chunk costs the sum of its counts times the
+    discovery rank of their labels, and each pool gets a kept chunk's
+    accepted points in index order, repeats adjacent. Recovered means
+    (recovery._recover_rejection) read the pools in that order."""
+
+    @staticmethod
+    def run_logged(monkeypatch, W, T, discovered, seed):
+        """rej_samp over _four_blobs with labels `discovered` registered,
+        and the log of its counts chunks and draw-ordered batches: (kind,
+        ledger before, counts or None, generator state after the counts,
+        label -> rank then)."""
+        pts, labels = _four_blobs()
+        st = SamplerState(pts)
+        add_center(st, [0.0, 0.0])
+        session, reps = OracleSession(labels), Representatives()
+        for lab in discovered:
+            reps.add_cluster(int(np.flatnonzero(labels == lab)[0]))
+        log = []
+        counts_chunk, d2 = sampling.counts_chunk, sampling.d2_sample_batch
+
+        def counts_spy(state, session_, reps_, rng_, size):
+            ledger = session_.ledger
+            got = counts_chunk(state, session_, reps_, rng_, size)
+            ranks = {int(labels[reps_.rep_point(i)]): i
+                     for i in range(1, reps_.discovered_count + 1)}
+            log.append(("counts", ledger, got, rng_.bit_generator.state, ranks))
+            return got
+
+        def d2_spy(state, rng_, size):
+            log.append(("ordered", session.ledger, None, None, None))
+            return d2(state, rng_, size)
+
+        monkeypatch.setattr(sampling, "counts_chunk", counts_spy)
+        monkeypatch.setattr(sampling, "d2_sample_batch", d2_spy)
+        refs = {j: reference_point(np.flatnonzero(labels == j)[:50], st) for j in W}
+        rng = np.random.default_rng(seed)
+        got = rej_samp(st, session, W, refs, T, 1.0, rng=rng, reps=reps)
+        log.append(("end", session.ledger, None, None, None))
+        # A kept chunk charged the ledger before the next event; a chunk
+        # retried smaller or dropped for the cap did not.
+        kept = [(e, nxt[1] - e[1]) for e, nxt in zip(log, log[1:])
+                if e[0] == "counts" and e[2] is not None and nxt[1] != e[1]]
+        return labels, st, refs, rng, got, log, kept
+
+    def test_cluster_discovered_mid_pass(self, monkeypatch):
+        # Cluster 4 of W starts undiscovered: the first chunk counts it and
+        # is dropped, a draw-ordered batch registers it, and the later
+        # chunks count its points at rank 4 and accept them into its pool.
+        labels, st, refs, rng, got, log, kept = self.run_logged(
+            monkeypatch, [3, 4], 6000, (1, 2, 3), seed=31)
+        acc, draws, queries = got
+        assert log[0][0] == "counts" and log[0][2] is None and log[1][0] == "ordered"
+        assert len(kept) >= 2
+        for (_, _, counts, _, ranks), cost in kept:
+            assert ranks[4] == 4 and counts[labels == 4].sum() > 0
+            assert cost == int((counts * np.vectorize(ranks.get)(labels)).sum())
+        # The pass of the per-chunk classification that counts_chunk's
+        # count vector replaced.
+        state = rng.bit_generator.state["state"]["state"]
+        assert ({j: len(v) for j, v in acc.items()}, draws, queries, _digest(acc), state) == (
+            {3: 6000, 4: 11512}, 6460193, 19241252, "fd9699379b3b15c7",
+            68150946814432203998448808771071576203)
+
+    def test_pools_in_point_order(self, monkeypatch):
+        # Each kept chunk's binomial acceptances, replayed from the
+        # generator state that its counts left, give each pool's next
+        # segment: the accepted points in index order, repeats adjacent.
+        W, eps = [2, 3], 1.0
+        labels, st, refs, rng, got, log, kept = self.run_logged(
+            monkeypatch, W, 12000, (1, 2, 3, 4), seed=32)
+        acc = got[0]
+        assert len(kept) >= 2
+        want = {j: [] for j in W}
+        repeats = 0
+        for (_, _, counts, after, _), _ in kept:
+            replay = np.random.default_rng()
+            replay.bit_generator.state = after
+            in_w = np.flatnonzero(np.isin(labels, W) & (counts > 0))
+            w = st.weights
+            p = np.minimum(1.0, np.array([eps / 128.0 * w[refs[labels[x]]] for x in in_w])
+                           / w[in_w])
+            hits = replay.binomial(counts[in_w], p)
+            repeats += int((hits > 1).sum())
+            for j in W:
+                mine = labels[in_w] == j
+                want[j] += np.repeat(in_w[mine], hits[mine]).tolist()
+        assert repeats > 0
+        for j in W:
+            assert acc[j][:len(want[j])] == want[j]
+            assert 0 < len(want[j]) < len(acc[j])
+        # The pools in full, as the per-chunk classification left them:
+        # the digest reads their order, as the recovered means do.
+        state = rng.bit_generator.state["state"]["state"]
+        assert ({j: len(v) for j, v in acc.items()}, got[1], got[2], _digest(acc), state) == (
+            {2: 12000, 3: 13112}, 14135078, 42099295, "ba1e8402f99421c7",
+            339996842986210405778375773792910809547)

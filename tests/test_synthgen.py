@@ -135,6 +135,46 @@ class TestGenerate:
                 assert gap <= 2 * cfg.rho + slack[a - 1] + slack[b - 1], (a, b)
 
 
+def generate_reference(config: SynthConfig):
+    """generate's points, labels and centroids by the plain formulas:
+    centers + rng.normal(scale=sigma) per cluster, and each centroid the
+    mean of points[labels == cid]."""
+    rng = np.random.default_rng(config.seed)
+    sizes = zipf_sizes(config.K, config.alpha, config.n, rng)
+    groups = collision_groups(config.K, config.p_collision, rng)
+    centers = np.zeros((config.K, config.d))
+    for group in groups:
+        leader = group[int(rng.integers(0, len(group)))]
+        centers[leader - 1] = rng.uniform(0.0, config.b, size=config.d)
+        for cid in group:
+            if cid != leader:
+                direction = rng.normal(size=config.d)
+                direction /= np.linalg.norm(direction)
+                centers[cid - 1] = centers[leader - 1] + (
+                    direction * config.rho * rng.random() ** (1.0 / config.d))
+    points = np.vstack([centers[i] + rng.normal(scale=config.sigma, size=(m, config.d))
+                        for i, m in enumerate(sizes)])
+    labels = np.repeat(np.arange(1, config.K + 1), sizes)
+    return points, labels, {cid: points[labels == cid].mean(axis=0)
+                            for cid in range(1, config.K + 1)}
+
+
+class TestGenerateReference:
+    @pytest.mark.parametrize("d, K, n, p, sigma", [
+        (1, 1, 1, 0.0, 0.3), (1, 5, 300, 0.3, 0.3), (2, 20, 20, 0.3, 0.3),
+        (7, 5, 300, 0.0, 1e-9), (10, 20, 2000, 0.3, 0.3), (120, 5, 300, 0.3, 2.0),
+    ])
+    def test_bits_of_the_plain_formulas(self, d, K, n, p, sigma):
+        for seed in (0, 3):
+            cfg = SynthConfig(n=n, K=K, d=d, p_collision=p, sigma=sigma, seed=seed)
+            ps, centroids = generate(cfg)
+            points, labels, want = generate_reference(cfg)
+            assert ps.points.tobytes() == points.tobytes()
+            assert ps.labels.tolist() == labels.tolist()
+            assert list(centroids) == list(want)
+            assert all(centroids[c].tobytes() == want[c].tobytes() for c in want)
+
+
 class TestSynthConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
