@@ -52,6 +52,9 @@ class SamplerState:
 
     def __init__(self, points: np.ndarray):
         self.points = np.ascontiguousarray(points, dtype=np.float64)   # as _apply_center sums rows
+        if self.points.ndim != 2 or self.points.shape[1] == 0:
+            raise GeometryError("sampler points must be an (n, d) array with d >= 1, "
+                                f"got shape {self.points.shape}")
         n = len(self.points)
         if n == 0:
             raise GeometryError("sampler needs a non-empty point set")
@@ -401,10 +404,11 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     Draws, classifies, and for clusters j in W accepts a draw x with
     probability min(1, (eps/128) w(x_j*)/w(x)), looping until every j in W
     holds at least its quota (T: one int for all, or a map j -> int) or
-    draw_cap draws are made.
-    Classification is exact-oracle Classify against `reps` by default; a
-    `checker(point_index) -> cluster index or 0` callable replaces it for
-    the noisy pipeline. Returns ({j: [point indices]}, draws, queries).
+    draw_cap draws are made. eps must be finite and positive.
+    Classification is exact-oracle Classify against `reps`, or a
+    `checker(point_index) -> cluster index or 0` callable for the noisy
+    pipeline: exactly one of the two is given. Returns
+    ({j: [point indices]}, draws, queries).
 
     A checker is called once per distinct point of the pass (_rej_walk);
     every later draw of that point is charged the ledger delta of its first
@@ -413,14 +417,16 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     cost, as check_cluster is once its pairs are answered. rng must then be
     a PCG64 Generator (np.random.default_rng).
 
-    The exact-oracle pass charges the ledger, registers discoveries and
-    stops exactly where a draw-at-a-time loop would. With centers and no
-    budget it takes chunks of 2^22 draws from counts_chunk, with binomial
-    acceptances, since far from the quotas the draw order does not matter.
-    A chunk is read through the pass's point tables (each point's rank,
-    and the points of W with their acceptance probabilities), which are
-    built when the pass starts and again after a discovery: it costs
-    counts @ rank, each point of W it counts c > 0 times is accepted
+    With `reps`, W is a non-empty set of clusters that reps has discovered
+    (ids 1..reps.discovered_count), as in the paper's Phase 4. The pass
+    charges the ledger, registers discoveries and stops exactly where a
+    draw-at-a-time loop would. The weights and the points of W do not
+    change within a pass, so one acceptance table, built before the loop,
+    serves it all: each point's acceptance probability, -1 outside W.
+    With centers and no budget the pass takes chunks of 2^22 draws from
+    counts_chunk, with binomial acceptances, since far from the quotas the
+    draw order does not matter. A kept chunk costs counts @ rank (rank:
+    reps.rank_of_point), each point of W it counts c > 0 times is accepted
     rng.binomial(c, p) times, and each pool gets its accepted points in
     index order, repeats adjacent.
     A chunk with an undiscovered cluster is dropped for one draw-ordered
@@ -433,7 +439,13 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
     as it is. A pass that reaches the cap ends there and returns as a
     filled one does; the pools short of their quota show what it missed.
     """
+    if (reps is None) == (checker is None):
+        raise ValueError("rej_samp takes exactly one of reps and checker")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     W = sorted(W)
+    if reps is not None and not (W and 1 <= W[0] and W[-1] <= reps.discovered_count):
+        raise ValueError(f"W must name discovered clusters 1..{reps.discovered_count}, got {W}")
     scale = eps / 128.0
     quota = {j: (T[j] if isinstance(T, dict) else int(T)) for j in W}
     accepted: dict[int, list[int]] = {j: [] for j in W}
@@ -451,58 +463,35 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
                           checker=checker, session=session, draw_cap=draw_cap)
         return accepted, draws, session.ledger - queries0
 
+    # The acceptance table: the points of W in index order with their ranks
+    # and probabilities, and each point's probability, -1 outside W (NaN
+    # where an infinite weight meets W).
+    ref_of = np.zeros(W[-1] + 1)
+    ref_of[W] = [ref_w[j] for j in W]
+    rank = reps.rank_of_point(session)
+    w_pts = np.flatnonzero(np.isin(rank, W))
+    w_cl = rank[w_pts]
+    w_p = _accept_prob(scale, ref_of[w_cl], state.weights[w_pts])
+    table = np.full(state.n_points, -1.0)
+    table[w_pts] = w_p
+
     draws = 0
     acc_rate_guess = 0.05
     chunk = 2 ** 22 if session.budget is None and state.has_centers else 0
-    w_arr = np.zeros(max(W) + 1)
-    in_w_arr = np.zeros(max(W) + 2, dtype=bool)
-    for j in W:
-        w_arr[j] = ref_w[j]
-        in_w_arr[j] = True
-
-    def accept(pts, cl):
-        """Acceptance probability of each draw pts[i] of cluster cl[i]; -1 outside W."""
-        p = np.full(len(pts), -1.0)
-        w = np.flatnonzero(in_w_arr[np.minimum(cl, len(in_w_arr) - 1)])
-        p[w] = _accept_prob(scale, w_arr[cl[w]], state.weights[pts[w]])
-        return p
-
-    # The pass's point tables: each point's rank and acceptance probability
-    # (-1 outside W), and the points of W in index order with their ranks
-    # and probabilities. The weights do not change within a pass, so they
-    # are built again only after a discovery. A cluster of W that is still
-    # undiscovered gets an id above L, so then the draws of clusters past L
-    # are looked up on their own.
-    L = None
-
-    def accept_drawn(pts, cl):
-        p = table[pts]
-        if max(W) > L:
-            late = np.flatnonzero(cl > L)
-            p[late] = accept(pts[late], cl[late])
-        return p
-
     while draws < draw_cap and any(v > 0 for v in need().values()):
         nd = need()
-        if L != reps.discovered_count:
-            L = reps.discovered_count
-            rank = reps.rank_of_point(session)
-            table = accept(np.arange(state.n_points), rank)
-            w_pts = np.flatnonzero(~(table < 0.0))  # p is NaN where an infinite weight meets W
-            w_cl, w_p = rank[w_pts], table[w_pts]
-
         counts = counts_chunk(state, session, reps, rng, chunk) if chunk >= 8192 else None
         if counts is not None:
             m = counts[w_pts]
             nz = np.flatnonzero(m)
             cl_w = w_cl[nz]
             acc = rng.binomial(m[nz], w_p[nz])
-            per_j = np.bincount(cl_w - 1, weights=acc, minlength=max(W))
+            per_j = np.bincount(cl_w - 1, weights=acc, minlength=W[-1])
             if all(per_j[j - 1] >= nd[j] for j in W):
                 chunk //= 4
                 continue
             if chunk <= draw_cap - draws:
-                session.charge(int(counts @ rank))
+                session.charge(int(counts @ reps.rank_of_point(session)))
                 x_w = w_pts[nz]
                 for j in W:
                     mine = cl_w == j
@@ -516,7 +505,7 @@ def rej_samp(state: SamplerState, session: _oracle.OracleSession, W, refs: dict,
         idx = d2_sample_batch(state, rng, B)
         cl, costs, new_firsts = _oracle.peek_classify(session, idx, reps)
 
-        p = accept_drawn(idx, cl)
+        p = table[idx]
         w_idx = np.flatnonzero(~(p < 0.0))
         coins = rng.random(len(w_idx))
         hit = w_idx[coins < p[w_idx]]

@@ -101,3 +101,20 @@ def test_summarize_reads_each_metric():
     s = pairs.summarize(runs, metrics)
     assert s["a"]["wins"] == {"change": 1, "base": 0, "ties": 0}
     assert s["b"]["verdict"] == "equal"
+
+
+class TestFingerprintMoves:
+    LINE = ("fingerprints: {} match, {} differ, 0 without reference "
+            "(queries, draws, rounds, K_recovered, stop_reason)")
+
+    def test_differ_parses_the_line(self):
+        assert pairs.differ(self.LINE.format(10, 0)) == 0
+        assert pairs.differ(self.LINE.format(13, 2)) == 2
+        assert pairs.differ(None) is None
+        assert pairs.differ("fingerprints: 3 match") is None
+
+    def test_counts_runs_per_side(self):
+        runs = [{"base": {"differ": 0}, "change": {"differ": 2}},
+                {"base": {"differ": None}, "change": {"differ": 0}},
+                {"base": {"differ": 0}, "change": {"differ": 1}}]
+        assert pairs.fingerprint_moves(runs) == {"base": 0, "change": 2}

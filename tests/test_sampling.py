@@ -240,6 +240,13 @@ class TestNonFinite:
         with pytest.raises(GeometryError):
             SamplerState([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("points", [np.arange(3.0), np.zeros((2, 2, 2)), np.zeros((3, 0))],
+                             ids=["1-d", "3-d", "no columns"])
+    def test_points_not_a_matrix_rejected(self, points):
+        # A 1-d array used to raise IndexError; the others were taken.
+        with pytest.raises(GeometryError, match="shape"):
+            SamplerState(points)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("first", [True, False])
     def test_center_rejected(self, bad, first):
@@ -616,9 +623,11 @@ class TestRejSamp:
         st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
         rng = np.random.default_rng(1)
+        reps = Representatives()
+        reps.add_cluster(0)
         accepted, draws, _ = rej_samp(
             st, session, W=[1], refs={1: 0}, T=200, eps=0.64,
-            rng=rng, reps=Representatives())
+            rng=rng, reps=reps)
         # acceptance 0.005 -> roughly 40k draws
         assert draws == pytest.approx(200 / 0.005, rel=0.35)
 
@@ -627,10 +636,12 @@ class TestRejSamp:
         session = OracleSession(labels)
         st = SamplerState(pts)
         add_center(st, [0.0, 0.0])
+        reps = Representatives()
+        reps.add_cluster(0)
         # The pass stops at the cap and returns the short pool.
         accepted, draws, queries = rej_samp(
             st, session, W=[1], refs={1: 0}, T=10**6, eps=0.01,
-            rng=np.random.default_rng(3), reps=Representatives(), draw_cap=2000)
+            rng=np.random.default_rng(3), reps=reps, draw_cap=2000)
         assert draws == 2000
         assert len(accepted[1]) < 10**6
         assert queries == session.ledger > 0
@@ -665,16 +676,17 @@ class TestRejSamp:
     def test_draw_ordered_matches_draw_at_a_time(self, shift):
         # A budgeted session takes the draw-ordered batches. Reference
         # weights of 0, of a subnormal and of 1e3 with eps = 1e308 give
-        # acceptance ratios that are zero, subnormal or past float64, and
-        # the first pass starts with no cluster discovered. Times 2^-1060,
-        # every weight is subnormal.
+        # acceptance ratios that are zero, subnormal or past float64. The
+        # first pass starts with cluster 1 alone discovered and discovers
+        # clusters 2-4 in its batches. Times 2^-1060, every weight is
+        # subnormal.
         rng = np.random.default_rng(13)
         labels = np.repeat([1, 2, 3, 4], 250)
         weights = rng.uniform(0.5, 1.5, size=1000)
         weights[[0, 250, 500, 750]] = 0.0, 1e-310, 1e3, 5e-324
         weights = np.ldexp(weights, shift)
         passes = [  # W, refs, quota, eps, draw cap
-            ([1, 2, 3, 4], {1: 0, 2: 250, 3: 500, 4: 750}, 40, 1.0, 6000),
+            ([1], {1: 0}, 40, 1.0, 6000),
             ([1, 3], {1: 500, 3: 501}, 300, 1e308, 10 ** 6),
             ([2, 4], {2: 250, 4: 900}, 60, 1.0, 5000),
             ([3], {3: 600}, 25, 0.5, 10 ** 6),
@@ -684,6 +696,7 @@ class TestRejSamp:
             st = _weighted_state(weights)
             session = OracleSession(labels, budget=10 ** 15)
             reps, gen = Representatives(), np.random.default_rng(14)
+            reps.add_cluster(0)
             out = []
             for W, refs, T, eps, cap in passes:
                 got = rej(st, session, W, refs, T, eps, rng=gen, reps=reps, draw_cap=cap)
@@ -693,6 +706,35 @@ class TestRejSamp:
         sizes = [{j: len(v) for j, v in got[0].items()} for got, *_ in outs[0]]
         assert [got[1] for got, *_ in outs[0]][::2] == [6000, 5000]
         assert min(sizes[1].values()) >= 300 and sizes[3] == {3: 25}
+
+    @pytest.mark.parametrize("W, eps, classifier, match", [
+        ([2], 1.0, "reps", "discovered"),
+        ([1, 2], 1.0, "reps", "discovered"),
+        ([0, 1], 1.0, "reps", "discovered"),
+        ([], 1.0, "reps", "discovered"),
+        ([1], 0.0, "reps", "eps"),
+        ([1], -1.0, "reps", "eps"),
+        ([1], np.nan, "reps", "eps"),
+        ([1], np.inf, "reps", "eps"),
+        ([1], 1.0, "neither", "exactly one"),
+        ([1], 1.0, "both", "exactly one"),
+    ], ids=["undiscovered", "one undiscovered", "zero", "empty W", "eps 0", "eps < 0",
+            "eps nan", "eps inf", "no classifier", "two classifiers"])
+    def test_inputs_checked(self, W, eps, classifier, match):
+        # Only cluster 1 is discovered: the exact pass samples discovered
+        # clusters (the paper's Phase 4). eps = 0 or NaN accepts nothing
+        # and used to draw up to the cap.
+        pts, labels = _planted_two_clusters(np.random.default_rng(2))
+        session, reps = OracleSession(labels), Representatives()
+        reps.add_cluster(0)
+        st = SamplerState(pts)
+        add_center(st, [0.0, 0.0])
+        kwargs = {"reps": {"reps": reps}, "neither": {},
+                  "both": {"reps": reps, "checker": lambda x: int(labels[x])}}[classifier]
+        with pytest.raises(ValueError, match=match):
+            rej_samp(st, session, W, {j: 0 for j in W}, 5, eps,
+                     rng=np.random.default_rng(3), draw_cap=10**5, **kwargs)
+        assert session.ledger == 0 and reps.discovered_count == 1
 
     def test_batched_matches_scalar_checker_quota_stop(self):
         # The checker path stops exactly at the filling draw. It checks each
@@ -971,23 +1013,23 @@ class TestCountsPass:
         return labels, st, refs, rng, got, log, kept
 
     def test_cluster_discovered_mid_pass(self, monkeypatch):
-        # Cluster 4 of W starts undiscovered: the first chunk counts it and
-        # is dropped, a draw-ordered batch registers it, and the later
-        # chunks count its points at rank 4 and accept them into its pool.
+        # Cluster 4 starts undiscovered: the first chunk counts it and is
+        # dropped, a draw-ordered batch registers it, and the later chunks
+        # charge its points at rank 4.
         labels, st, refs, rng, got, log, kept = self.run_logged(
-            monkeypatch, [3, 4], 6000, (1, 2, 3), seed=31)
+            monkeypatch, [3], 6000, (1, 2, 3), seed=31)
         acc, draws, queries = got
         assert log[0][0] == "counts" and log[0][2] is None and log[1][0] == "ordered"
         assert len(kept) >= 2
         for (_, _, counts, _, ranks), cost in kept:
             assert ranks[4] == 4 and counts[labels == 4].sum() > 0
             assert cost == int((counts * np.vectorize(ranks.get)(labels)).sum())
-        # The pass of the per-chunk classification that counts_chunk's
-        # count vector replaced.
+        # The pass of the per-discovery table rebuild that the one
+        # acceptance table replaced.
         state = rng.bit_generator.state["state"]["state"]
         assert ({j: len(v) for j, v in acc.items()}, draws, queries, _digest(acc), state) == (
-            {3: 6000, 4: 11512}, 6460193, 19241252, "fd9699379b3b15c7",
-            68150946814432203998448808771071576203)
+            {3: 6000}, 6455098, 19232582, "58d967a2043604d3",
+            29003812571594153544090190262216515846)
 
     def test_pools_in_point_order(self, monkeypatch):
         # Each kept chunk's binomial acceptances, replayed from the

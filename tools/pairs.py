@@ -14,16 +14,19 @@ not in it; `git add` them first). Each pair runs both trees' own
 base first on odd pairs and the change first on even ones, so that
 drift of the machine falls on both sides alike (Kalibera and Jones,
 "Rigorous Benchmarking in Reasonable Time", ISMM 2013). Of each run it
-keeps the last JSON line, the `fingerprints:` line and the CPU seconds
-of the child processes.
+keeps the last JSON line, the `fingerprints:` line with the number of
+fingerprints it reports moved, and the CPU seconds of the child
+processes.
 
 One entry is appended to BENCH_<W>.json at the repository root: both
 commits, whether the change side is a snapshot of a dirty tree, every
 pair's values and, per metric, each side's median and quartiles, the
 pairs each side won (by the metric's `better` in BENCHMARK.json; ties
 count for neither), the median difference and the base's interquartile
-range. Exits 1 when a run is not "correct" (the entry is still written,
-up to that pair).
+range. It also counts, per side, the runs that report a moved
+fingerprint, and prints those counts on one line: a change that leaves
+every trajectory as it was reads 0 on both sides. Exits 1 when a run is
+not "correct" (the entry is still written, up to that pair).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import datetime
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import statistics
@@ -103,6 +107,18 @@ def compare(base: list[float], change: list[float], better: str,
     }
 
 
+def differ(line: str | None) -> int | None:
+    """M of a "fingerprints: N match, M differ, ..." line; None without one."""
+    m = re.match(r"fingerprints: \d+ match, (\d+) differ", line or "")
+    return int(m.group(1)) if m else None
+
+
+def fingerprint_moves(pairs: list[dict]) -> dict:
+    """Per side, the runs whose fingerprint line reports M > 0 moved."""
+    return {side: sum(1 for p in pairs if (p[side]["differ"] or 0) > 0)
+            for side in ("base", "change")}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """compare() for every metric over the pairs, whose sides carry
     {"metrics": {name: value}}."""
@@ -131,11 +147,13 @@ def _run(tree: Path, workload: str, seconds: float, held_out: bool) -> dict:
         last = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         last = {"correct": False, "metrics": {}}
+    fingerprints = next((ln for ln in lines if ln.startswith("fingerprints:")), None)
     return {
         "correct": proc.returncode == 0 and bool(last.get("correct")),
         "attempted": last.get("attempted"),
         "failed": last.get("failed"),
-        "fingerprints": next((ln for ln in lines if ln.startswith("fingerprints:")), None),
+        "fingerprints": fingerprints,
+        "differ": differ(fingerprints),
         "metrics": {**{k: v["value"] for k, v in last["metrics"].items()}, "cpu_s": cpu},
         **({} if proc.returncode == 0 else {"stderr": proc.stderr[-2000:]}),
     }
@@ -200,6 +218,7 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "correct": correct,
+        "fingerprint_moves": fingerprint_moves(pairs),
         "summary": summarize(pairs, metrics) if correct else None,
         "pairs": pairs,
     }
@@ -213,6 +232,9 @@ def main(argv=None) -> int:
                   f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]  wins "
                   f"{s['wins']['change']}-{s['wins']['base']} ({s['wins']['ties']} tied)  "
                   f"{s['verdict']}")
+    moves = entry["fingerprint_moves"]
+    print(f"runs with a moved fingerprint: base {moves['base']} of {len(pairs)}, "
+          f"change {moves['change']} of {len(pairs)}")
     print(f"appended to {out.name}: {len(pairs)} pairs, correct={correct}")
     return 0 if correct else 1
 
